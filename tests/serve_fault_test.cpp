@@ -1,6 +1,7 @@
 // Fault-path tests of the fvf::serve scenario service: deterministic
 // admission-control shedding, clean deadline cancellation (in queue and
-// mid-run), and checkpoint/restore of interrupted IMPES jobs.
+// mid-run), checkpoint/restore of interrupted IMPES jobs, and a golden
+// file pinning the serialized response of a fixed request corpus.
 //
 // Every test runs the service in manual mode (workers = 0) with an
 // injected clock that advances 10 ms per observation, so queue times,
@@ -8,9 +9,11 @@
 // racing.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -262,6 +265,108 @@ TEST_F(ServeCheckpointTest, CheckpointOfADifferentScenarioIsNeverResumed) {
   ASSERT_TRUE(response.ok()) << response.error;
   EXPECT_FALSE(response.resumed);
   EXPECT_EQ(service.stats().executor.resumes, 0u);
+}
+
+// --- response golden -------------------------------------------------------
+
+/// Every kernel on both backends, plus the response paths that carry
+/// error text: a fault scenario, strict lint, CG non-convergence, and a
+/// fabric failure. Each line runs cold on a fresh manual-mode service.
+constexpr const char* kGoldenCorpus[] = {
+    "program=tpfa nx=4 ny=4 nz=3 seed=7 iterations=2 backend=wse",
+    "program=tpfa nx=4 ny=4 nz=3 seed=7 iterations=2 backend=gpusim",
+    "program=cg nx=5 ny=5 nz=4 seed=7 max-iterations=120 tol=1e-4 "
+    "backend=wse",
+    "program=cg nx=5 ny=5 nz=4 seed=7 max-iterations=120 tol=1e-4 "
+    "backend=gpusim",
+    "program=transport nx=5 ny=5 nz=4 seed=7 window=600 backend=wse",
+    "program=transport nx=5 ny=5 nz=4 seed=7 window=600 backend=gpusim",
+    "program=wave nx=5 ny=5 nz=4 seed=7 steps=4 backend=wse",
+    "program=wave nx=5 ny=5 nz=4 seed=7 steps=4 backend=gpusim",
+    "program=impes nx=4 ny=4 nz=3 seed=7 windows=2 dt=900 backend=wse",
+    "program=impes nx=4 ny=4 nz=3 seed=7 windows=2 dt=900 backend=gpusim",
+    "program=heat nx=6 ny=5 nz=2 seed=7 backend=wse",
+    "program=heat nx=6 ny=5 nz=2 seed=7 backend=gpusim",
+    // Defaulted iterations and dt, auto-routed to gpusim.
+    "program=transport nx=5 ny=4 nz=3 seed=9 priority=background",
+    "program=cg nx=5 ny=5 nz=4 seed=7 iterations=120 tol=1e-4 "
+    "fault-seed=3 fault-rate=1e-3",
+    // Enough faults to strand blocks: Failed with the fabric's error.
+    "program=tpfa nx=4 ny=4 nz=3 seed=7 fault-seed=3 fault-rate=5e-2",
+    "program=transport nx=5 ny=5 nz=4 seed=8 window=600 lint=strict",
+    "program=cg nx=5 ny=5 nz=4 seed=7 max-iterations=2 backend=wse",
+    "program=cg nx=5 ny=5 nz=4 seed=7 max-iterations=2 backend=gpusim",
+    // Deadline at t=35 under the manual clock: stops after 2 of 3 windows.
+    "program=impes nx=4 ny=4 nz=3 seed=7 windows=3 dt=900 deadline-ms=25",
+};
+
+constexpr const char* kResponsesGolden =
+    FVF_TEST_DATA_DIR "/serve_responses.golden";
+
+void append_response(std::ostringstream& os, const std::string& line,
+                     const ScenarioResponse& response) {
+  os << "# " << line << '\n' << serialize_response(response) << '\n';
+}
+
+std::string read_file(const char* path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Uses the checkpoint fixture's scratch directory for the resumed job.
+class ServeGoldenTest : public ServeCheckpointTest {};
+
+TEST_F(ServeGoldenTest, ResponsesMatchGolden) {
+  std::ostringstream actual;
+  for (const char* line : kGoldenCorpus) {
+    ScenarioService service(manual_options());
+    const auto future = service.submit_line(line);
+    service.drain();
+    append_response(actual, line, future.get());
+  }
+
+  // An IMPES job interrupted after its window-2 checkpoint, then resumed.
+  const std::string resumable =
+      "program=impes nx=4 ny=4 nz=3 seed=7 windows=4 dt=900 "
+      "checkpoint-every=2";
+  ServiceOptions options = manual_options();
+  options.checkpoint_dir = dir_.string();
+  ScenarioService service(options);
+  for (const std::string& line :
+       {resumable + " deadline-ms=25", resumable}) {
+    const auto future = service.submit_line(line);
+    service.drain();
+    append_response(actual, line, future.get());
+  }
+  ASSERT_EQ(service.stats().executor.resumes, 1u);
+
+  if (std::getenv("FVF_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(kResponsesGolden, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << kResponsesGolden;
+    out << actual.str();
+    GTEST_SKIP() << "golden regenerated at " << kResponsesGolden;
+  }
+  const std::string expected = read_file(kResponsesGolden);
+  ASSERT_FALSE(expected.empty())
+      << "missing " << kResponsesGolden
+      << " — run with FVF_UPDATE_GOLDEN=1 to create it";
+  std::istringstream want(expected);
+  std::istringstream got(actual.str());
+  std::string want_line;
+  std::string got_line;
+  for (usize n = 1;; ++n) {
+    const bool more_want = static_cast<bool>(std::getline(want, want_line));
+    const bool more_got = static_cast<bool>(std::getline(got, got_line));
+    if (!more_want && !more_got) {
+      break;
+    }
+    ASSERT_TRUE(more_want == more_got && want_line == got_line)
+        << "responses diverge from the golden at line " << n
+        << "\n  golden: " << (more_want ? want_line : "<end of file>")
+        << "\n  actual: " << (more_got ? got_line : "<end of file>");
+  }
 }
 
 }  // namespace

@@ -88,12 +88,14 @@ int main(int argc, const char** argv) {
   for (const auto& future : futures) {
     future.wait();
   }
-  // Seeded repeats with varied scheduling fields (threads and priority
-  // never enter the scenario hash, so all of these are memo hits).
+  // Seeded repeats with varied scheduling fields. Threads and priority
+  // never enter the scenario hash, but priority=background alone would
+  // route the request to gpusim, a different scenario; pinning
+  // backend=wse keeps every repeat a memo hit of a phase-1 cold run.
   Xoshiro256 rng(20260809);
   static constexpr const char* kScheduling[] = {
       "", " threads=2", " threads=4 priority=interactive",
-      " priority=background", " threads=2 priority=batch"};
+      " priority=background backend=wse", " threads=2 priority=batch"};
   while (futures.size() < total_requests) {
     const std::string& line = pool[rng.below(pool.size())];
     futures.push_back(

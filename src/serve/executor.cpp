@@ -1,73 +1,21 @@
 #include "serve/executor.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "api/api.hpp"
 #include "common/assert.hpp"
-#include "core/cg_program.hpp"
 #include "core/fabric_impes.hpp"
-#include "core/launcher.hpp"
-#include "core/linear_stencil.hpp"
-#include "core/transport_program.hpp"
-#include "core/wave_program.hpp"
 #include "io/checkpoint.hpp"
-#include "spec/heat.hpp"
-#include "wse/fault.hpp"
 
 namespace fvf::serve {
 
-/// The cached linear-system setup shared by the CG and wave scenarios:
-/// stencil assembly, manufactured solution, and Jacobi scaling are all
-/// deterministic functions of (problem, dt).
-struct CgSetup {
-  core::ScaledSystem scaled;
-  Array3<f32> scaled_rhs;
-  core::ManufacturedSystem manufactured;
-};
-
 namespace {
-
-constexpr u64 kDigestSeed = 0xcbf29ce484222325ULL;
-
-/// Applies the request's execution knobs to any HarnessOptions-derived
-/// program options struct: the canonical fault scenario of the demos
-/// (uniform rates, bit flips restricted to the retransmit-protected halo
-/// colors) plus the thread count, which never changes results.
-void apply_execution(dataflow::HarnessOptions& options,
-                     const ScenarioRequest& request, lint::Level lint) {
-  options.execution.threads = request.threads;
-  options.execution.fault =
-      wse::FaultConfig::uniform(request.fault_seed, request.fault_rate);
-  options.execution.fault.flip_color_mask = 0x00FFu;
-  options.lint = lint;
-}
-
-/// Content key of the problem cache. IMPES scenarios use the
-/// homogeneous injection geomodel of the demo; the single-kernel
-/// scenarios share the canonical log-normal benchmark problem.
-u64 problem_key(const ScenarioRequest& request) {
-  const bool impes = request.program == ProgramKind::Impes;
-  u64 key = fnv1a(impes ? "problem/impes" : "problem/benchmark");
-  key = fnv1a_mix(key, static_cast<u64>(request.nx));
-  key = fnv1a_mix(key, static_cast<u64>(request.ny));
-  key = fnv1a_mix(key, static_cast<u64>(request.nz));
-  key = fnv1a_mix(key, request.seed);
-  return key;
-}
-
-u64 setup_key(const ScenarioRequest& request) {
-  u64 key = fnv1a_mix(fnv1a("setup/stencil"), problem_key(request));
-  key = fnv1a_mix(key, std::bit_cast<u64>(request.dt));
-  return key;
-}
 
 u64 lint_key(const ScenarioRequest& request) {
   u64 key = fnv1a("lint");
-  key = fnv1a_mix(key, static_cast<u64>(request.program));
+  key = fnv1a_mix(key, fnv1a(request.kernel));
   key = fnv1a_mix(key, static_cast<u64>(request.nx));
   key = fnv1a_mix(key, static_cast<u64>(request.ny));
   key = fnv1a_mix(key, static_cast<u64>(request.nz));
@@ -91,6 +39,129 @@ CheckpointPaths checkpoint_paths(const std::string& dir, u64 hash) {
                          base + "_pressure.fvf"};
 }
 
+/// Serve's hook on the api's IMPES window loop: resumes from a
+/// checkpoint of this exact scenario, writes one every checkpoint_every
+/// windows, removes it once the job completes, and stops the loop at an
+/// expired deadline.
+class ImpesJob final : public api::ImpesHook {
+ public:
+  ImpesJob(const ScenarioRequest& request, const ExecutionContext& context,
+           ScenarioResponse& response, std::atomic<u64>& checkpoints_saved,
+           std::atomic<u64>& resumes)
+      : request_(request),
+        context_(context),
+        response_(response),
+        checkpoints_saved_(checkpoints_saved),
+        resumes_(resumes),
+        checkpointing_(request.checkpoint_every > 0 &&
+                       !context.checkpoint_dir.empty()),
+        paths_(checkpoint_paths(context.checkpoint_dir,
+                                response.scenario_hash)),
+        // The meta file embeds the canonical content so a hash collision
+        // (or a stale directory) can never resume the wrong scenario.
+        canonical_line_(checkpointing_ ? "canonical=" +
+                                             canonical_content(request) + "\n"
+                                       : "") {}
+
+  void resume(core::FabricImpesSimulator& sim,
+              api::ImpesProgress& progress) override {
+    if (!checkpointing_) {
+      return;
+    }
+    std::ifstream meta_in(paths_.meta);
+    if (!meta_in.good()) {
+      return;
+    }
+    std::ostringstream text;
+    text << meta_in.rdbuf();
+    const std::string meta = text.str();
+    if (meta.find(canonical_line_) == std::string::npos) {
+      return;
+    }
+    const dataflow::RunInfo done = parse_run_info(meta);
+    sim.restore_state(io::load_field(paths_.saturation),
+                      io::load_field(paths_.pressure));
+    progress.fabric = done;
+    std::istringstream scalars(meta);
+    std::string line;
+    while (std::getline(scalars, line)) {
+      if (line.rfind("windows_done=", 0) == 0) {
+        progress.windows_done = static_cast<i32>(std::stol(line.substr(13)));
+      } else if (line.rfind("cg_iterations_total=", 0) == 0) {
+        progress.cg_iterations = std::stol(line.substr(20));
+      } else if (line.rfind("transport_substeps_total=", 0) == 0) {
+        progress.transport_substeps = std::stol(line.substr(25));
+      }
+    }
+    response_.resumed = true;
+    resumes_.fetch_add(1);
+  }
+
+  bool stop(const api::ImpesProgress& progress) override {
+    if (!context_.expired || !context_.expired()) {
+      return false;
+    }
+    const i32 window = progress.windows_done;
+    std::ostringstream os;
+    os << "deadline exceeded after " << window << "/" << request_.iterations
+       << " windows";
+    if (checkpointing_) {
+      os << " (checkpoint covers the first "
+         << (window / request_.checkpoint_every) * request_.checkpoint_every
+         << ")";
+    }
+    deadline_error_ = os.str();
+    return true;
+  }
+
+  void window_done(const core::FabricImpesSimulator& sim,
+                   const api::ImpesProgress& progress) override {
+    if (!checkpointing_) {
+      return;
+    }
+    const i32 done = progress.windows_done;
+    if (done == request_.iterations) {
+      // The job is complete; a finished scenario must not leave a stale
+      // resume point behind.
+      std::remove(paths_.meta.c_str());
+      std::remove(paths_.saturation.c_str());
+      std::remove(paths_.pressure.c_str());
+      return;
+    }
+    if (done % request_.checkpoint_every != 0) {
+      return;
+    }
+    std::filesystem::create_directories(context_.checkpoint_dir);
+    io::save_field(paths_.saturation, sim.saturation());
+    io::save_field(paths_.pressure, sim.pressure());
+    // Meta goes last: a checkpoint without its meta file is invisible to
+    // resume, so a crash mid-save can never resume partial state.
+    std::ofstream meta_out(paths_.meta, std::ios::binary | std::ios::trunc);
+    meta_out << canonical_line_ << "windows_done=" << done << '\n'
+             << "cg_iterations_total=" << progress.cg_iterations << '\n'
+             << "transport_substeps_total=" << progress.transport_substeps
+             << '\n'
+             << serialize_run_info(progress.fabric);
+    checkpoints_saved_.fetch_add(1);
+  }
+
+  /// Why the loop stopped early; empty when it ran to completion.
+  [[nodiscard]] const std::string& deadline_error() const noexcept {
+    return deadline_error_;
+  }
+
+ private:
+  const ScenarioRequest& request_;
+  const ExecutionContext& context_;
+  ScenarioResponse& response_;
+  std::atomic<u64>& checkpoints_saved_;
+  std::atomic<u64>& resumes_;
+  bool checkpointing_;
+  CheckpointPaths paths_;
+  std::string canonical_line_;
+  std::string deadline_error_;
+};
+
 }  // namespace
 
 ScenarioExecutor::ScenarioExecutor()
@@ -101,8 +172,6 @@ ScenarioExecutor::ScenarioExecutor(usize cache_entries)
       setups_(cache_entries),
       lint_passes_(cache_entries) {}
 
-ScenarioExecutor::~ScenarioExecutor() = default;
-
 ExecutorStats ScenarioExecutor::stats() const {
   ExecutorStats stats;
   stats.problems = problems_.stats();
@@ -112,37 +181,6 @@ ExecutorStats ScenarioExecutor::stats() const {
   stats.checkpoints_saved = checkpoints_saved_.load();
   stats.resumes = resumes_.load();
   return stats;
-}
-
-std::shared_ptr<const physics::FlowProblem> ScenarioExecutor::problem_for(
-    const ScenarioRequest& request) {
-  return problems_.get_or_build(problem_key(request), [&request] {
-    if (request.program == ProgramKind::Impes) {
-      physics::ProblemSpec spec;
-      spec.extents = Extents3{request.nx, request.ny, request.nz};
-      spec.spacing = mesh::Spacing3{10.0, 10.0, 2.0};
-      spec.geomodel = physics::GeomodelKind::Homogeneous;
-      spec.seed = request.seed;
-      return physics::FlowProblem(spec);
-    }
-    return physics::make_benchmark_problem(
-        Extents3{request.nx, request.ny, request.nz}, request.seed);
-  });
-}
-
-std::shared_ptr<const CgSetup> ScenarioExecutor::setup_for(
-    const ScenarioRequest& request) {
-  return setups_.get_or_build(setup_key(request), [this, &request] {
-    const std::shared_ptr<const physics::FlowProblem> problem =
-        problem_for(request);
-    const core::LinearStencil stencil =
-        core::build_linear_stencil(*problem, request.dt);
-    CgSetup setup;
-    setup.manufactured = core::manufacture_solution(stencil);
-    setup.scaled = core::jacobi_scale(stencil);
-    setup.scaled_rhs = core::scale_rhs(setup.scaled, setup.manufactured.rhs);
-    return setup;
-  });
 }
 
 lint::Level ScenarioExecutor::effective_lint(const ScenarioRequest& request) {
@@ -170,311 +208,53 @@ ScenarioResponse ScenarioExecutor::execute(const ScenarioRequest& raw,
     const ScenarioRequest request = resolve_defaults(raw);
     response.scenario_hash = scenario_hash(request);
     simulations_.fetch_add(1);
-    if (request.backend == BackendChoice::Gpusim) {
-      run_gpusim(request, response);
+    const bool wse = request.backend == BackendChoice::Wse;
+    ImpesJob impes(request, context, response, checkpoints_saved_, resumes_);
+    api::RunContext run;
+    run.problems = [this](u64 key,
+                          const std::function<physics::FlowProblem()>& build) {
+      return problems_.get_or_build(key, build);
+    };
+    run.setups = [this](u64 key,
+                        const std::function<api::LinearSetup()>& build) {
+      return setups_.get_or_build(key, build);
+    };
+    if (wse) {
+      // Lint verifies fabric programs and the window hook drives fabric
+      // IMPES; the gpusim backend uses neither.
+      run.lint = effective_lint(request);
+      run.impes = &impes;
+    }
+    const api::FieldEquationResult result = api::run_field_equation(
+        request, wse ? api::Backend::Wse : api::Backend::Gpusim, run);
+    if (!impes.deadline_error().empty()) {
+      response.status = RequestStatus::DeadlineExpired;
+      response.error = impes.deadline_error();
+      response.info = result.fabric;
+      return response;
+    }
+    if (wse) {
+      response.info = result.fabric;
     } else {
-      switch (request.program) {
-        case ProgramKind::Tpfa:
-          run_tpfa(request, response);
-          break;
-        case ProgramKind::Cg:
-          run_cg(request, response);
-          break;
-        case ProgramKind::Transport:
-          run_transport(request, response);
-          break;
-        case ProgramKind::Wave:
-          run_wave(request, response);
-          break;
-        case ProgramKind::Impes:
-          run_impes(request, response, context);
-          break;
-        case ProgramKind::Heat:
-          run_heat(request, response);
-          break;
-      }
-      if (response.status == RequestStatus::Ok) {
-        // Lint verifies fabric programs; a gpusim run proves nothing
-        // about the fabric shape, so only wse runs record a pass.
-        record_lint_pass(request);
-      }
+      // The shared timing surface: the analytic GPU timeline stands in
+      // for the fabric clock in the response's RunInfo.
+      response.info.device_seconds = result.device_seconds;
+    }
+    response.result_digest = result.result_digest;
+    response.summary = result.summary;
+    if (!result.error.empty()) {
+      response.status = RequestStatus::Failed;
+      response.error = result.error;
+    } else if (wse) {
+      // A gpusim run proves nothing about the fabric shape, so only wse
+      // runs record a lint pass.
+      record_lint_pass(request);
     }
   } catch (const std::exception& error) {
     response.status = RequestStatus::Failed;
     response.error = error.what();
   }
   return response;
-}
-
-void ScenarioExecutor::run_tpfa(const ScenarioRequest& request,
-                                ScenarioResponse& response) {
-  const std::shared_ptr<const physics::FlowProblem> problem =
-      problem_for(request);
-  core::DataflowOptions options;
-  options.iterations = request.iterations;
-  apply_execution(options, request, effective_lint(request));
-  const core::DataflowResult result = core::run_dataflow_tpfa(*problem, options);
-  response.info = result;
-  u64 digest = digest_field(kDigestSeed, result.residual);
-  digest = digest_field(digest, result.pressure);
-  response.result_digest = digest;
-  if (!result.ok()) {
-    response.status = RequestStatus::Failed;
-    response.error = result.errors.front();
-  }
-}
-
-void ScenarioExecutor::run_cg(const ScenarioRequest& request,
-                              ScenarioResponse& response) {
-  const std::shared_ptr<const CgSetup> setup = setup_for(request);
-  core::DataflowCgOptions options;
-  options.kernel.max_iterations = request.iterations;
-  options.kernel.relative_tolerance = static_cast<f32>(request.tol);
-  apply_execution(options, request, effective_lint(request));
-  const core::DataflowCgResult result =
-      core::run_dataflow_cg(setup->scaled.stencil, setup->scaled_rhs, options);
-  response.info = result;
-  const Array3<f32> solution =
-      core::unscale_solution(setup->scaled, result.solution);
-  response.result_digest = digest_field(kDigestSeed, solution);
-  response.summary.emplace_back("iterations", static_cast<f64>(result.iterations));
-  response.summary.emplace_back("converged", result.converged ? 1.0 : 0.0);
-  response.summary.emplace_back("initial_residual_norm",
-                                result.initial_residual_norm);
-  response.summary.emplace_back("final_residual_norm",
-                                result.final_residual_norm);
-  if (!result.ok()) {
-    response.status = RequestStatus::Failed;
-    response.error = result.errors.front();
-  } else if (!result.converged) {
-    response.status = RequestStatus::Failed;
-    std::ostringstream os;
-    os << "CG did not converge within " << request.iterations
-       << " iterations (||r||/||r0|| = "
-       << result.final_residual_norm / result.initial_residual_norm << ")";
-    response.error = os.str();
-  }
-}
-
-void ScenarioExecutor::run_transport(const ScenarioRequest& request,
-                                     ScenarioResponse& response) {
-  const std::shared_ptr<const physics::FlowProblem> problem =
-      problem_for(request);
-  const Extents3 ext = problem->extents();
-
-  // The canonical transport scenario: the initial saturation patch and
-  // a centre injector over the problem's own initial pressure field.
-  Array3<f32> saturation(ext, 0.0f);
-  saturation(ext.nx / 2, ext.ny / 2, 0) = 0.6f;
-  if (ext.ny / 2 > 0) {
-    saturation(ext.nx / 2, ext.ny / 2 - 1, ext.nz > 1 ? 1 : 0) = 0.3f;
-  }
-  Array3<f32> wells(ext, 0.0f);
-  wells(ext.nx / 2, ext.ny / 2, 0) = 1e-4f;
-
-  core::DataflowTransportOptions options;
-  options.kernel.window_seconds = request.dt;
-  options.kernel.pore_volume =
-      static_cast<f32>(problem->mesh().cell_volume() * 0.2);
-  apply_execution(options, request, effective_lint(request));
-  const core::DataflowTransportResult result = core::run_dataflow_transport(
-      *problem, saturation, problem->initial_pressure(), wells, options);
-  response.info = result;
-  response.result_digest = digest_field(kDigestSeed, result.saturation);
-  response.summary.emplace_back("substeps", static_cast<f64>(result.substeps));
-  response.summary.emplace_back("advanced_seconds", result.advanced_seconds);
-  if (!result.ok()) {
-    response.status = RequestStatus::Failed;
-    response.error = result.errors.front();
-  }
-}
-
-void ScenarioExecutor::run_wave(const ScenarioRequest& request,
-                                ScenarioResponse& response) {
-  const std::shared_ptr<const CgSetup> setup = setup_for(request);
-  const Array3<f32> pulse = core::gaussian_pulse(
-      Extents3{request.nx, request.ny, request.nz}, 1.0, 2.0);
-  core::DataflowWaveOptions options;
-  options.kernel.timesteps = request.iterations;
-  options.kernel.kappa = 0.4f;
-  apply_execution(options, request, effective_lint(request));
-  const core::DataflowWaveResult result =
-      core::run_dataflow_wave(setup->scaled.stencil, pulse, options);
-  response.info = result;
-  response.result_digest = digest_field(kDigestSeed, result.field);
-  if (!result.ok()) {
-    response.status = RequestStatus::Failed;
-    response.error = result.errors.front();
-  }
-}
-
-void ScenarioExecutor::run_heat(const ScenarioRequest& request,
-                                ScenarioResponse& response) {
-  // Heat needs no FlowProblem: the initial field is a deterministic
-  // function of (extents, seed), so the scenario hash still keys the
-  // result bit-for-bit.
-  const Array3<f32> initial = spec::heat_initial_field(
-      Extents3{request.nx, request.ny, request.nz}, request.seed);
-  spec::DataflowHeatOptions options;
-  options.kernel.steps = request.iterations;
-  apply_execution(options, request, effective_lint(request));
-  const spec::DataflowHeatResult result =
-      spec::run_dataflow_heat(initial, options);
-  response.info = result;
-  response.result_digest = digest_field(kDigestSeed, result.field);
-  response.summary.emplace_back("steps",
-                                static_cast<f64>(result.steps_completed));
-  if (!result.ok()) {
-    response.status = RequestStatus::Failed;
-    response.error = result.errors.front();
-  }
-}
-
-void ScenarioExecutor::run_gpusim(const ScenarioRequest& request,
-                                  ScenarioResponse& response) {
-  api::FieldEquationSpec spec;
-  spec.kernel = std::string(program_name(request.program));
-  spec.nx = request.nx;
-  spec.ny = request.ny;
-  spec.nz = request.nz;
-  spec.seed = request.seed;
-  spec.iterations = request.iterations;
-  spec.dt = request.dt;
-  spec.tol = request.tol;
-  const api::FieldEquationResult result =
-      api::run_field_equation(spec, api::Backend::Gpusim);
-  // The shared timing surface: the analytic GPU timeline stands in for
-  // the fabric clock in the response's RunInfo.
-  response.info.device_seconds = result.device_seconds;
-  response.result_digest = result.result_digest;
-  response.summary = result.summary;
-  response.summary.emplace_back("work", static_cast<f64>(result.work));
-  response.summary.emplace_back(
-      "gpu_kernels_launched", static_cast<f64>(result.gpu.kernels_launched));
-  response.summary.emplace_back("gpu_occupancy", result.gpu.occupancy);
-  if (request.program == ProgramKind::Cg && !result.converged) {
-    response.status = RequestStatus::Failed;
-    std::ostringstream os;
-    os << "CG did not converge within " << request.iterations
-       << " iterations on the gpusim backend";
-    response.error = os.str();
-  }
-}
-
-void ScenarioExecutor::run_impes(const ScenarioRequest& request,
-                                 ScenarioResponse& response,
-                                 const ExecutionContext& context) {
-  const std::shared_ptr<const physics::FlowProblem> problem =
-      problem_for(request);
-  core::FabricImpesOptions options;
-  options.execution.threads = request.threads;
-  options.execution.fault =
-      wse::FaultConfig::uniform(request.fault_seed, request.fault_rate);
-  options.execution.fault.flip_color_mask = 0x00FFu;
-  options.lint = effective_lint(request);
-
-  core::FabricImpesSimulator sim(*problem, options);
-  sim.add_well(Coord3{request.nx / 2, request.ny / 2, 0}, 2e-4);
-
-  const bool checkpointing =
-      request.checkpoint_every > 0 && !context.checkpoint_dir.empty();
-  const CheckpointPaths paths =
-      checkpoint_paths(context.checkpoint_dir, response.scenario_hash);
-
-  i32 windows_done = 0;
-  dataflow::RunInfo total;
-  i64 cg_iterations = 0;
-  i64 substeps = 0;
-
-  if (checkpointing) {
-    // Resume when a complete checkpoint of this exact scenario exists.
-    std::ifstream meta_in(paths.meta);
-    if (meta_in.good()) {
-      std::ostringstream text;
-      text << meta_in.rdbuf();
-      const std::string meta = text.str();
-      // The meta file embeds the canonical content so a hash collision
-      // (or a stale directory) can never resume the wrong scenario.
-      const std::string canonical_line =
-          "canonical=" + canonical_content(request) + "\n";
-      if (meta.find(canonical_line) != std::string::npos) {
-        const dataflow::RunInfo done = parse_run_info(meta);
-        sim.restore_state(io::load_field(paths.saturation),
-                          io::load_field(paths.pressure));
-        total = done;
-        std::istringstream scalars(meta);
-        std::string line;
-        while (std::getline(scalars, line)) {
-          if (line.rfind("windows_done=", 0) == 0) {
-            windows_done = static_cast<i32>(std::stol(line.substr(13)));
-          } else if (line.rfind("cg_iterations_total=", 0) == 0) {
-            cg_iterations = std::stol(line.substr(20));
-          } else if (line.rfind("transport_substeps_total=", 0) == 0) {
-            substeps = std::stol(line.substr(25));
-          }
-        }
-        response.resumed = true;
-        resumes_.fetch_add(1);
-      }
-    }
-  }
-
-  for (i32 window = windows_done; window < request.iterations; ++window) {
-    if (window > windows_done && context.expired && context.expired()) {
-      std::ostringstream os;
-      os << "deadline exceeded after " << window << "/" << request.iterations
-         << " windows";
-      if (checkpointing) {
-        os << " (checkpoint covers the first "
-           << (window / request.checkpoint_every) * request.checkpoint_every
-           << ")";
-      }
-      response.status = RequestStatus::DeadlineExpired;
-      response.error = os.str();
-      response.info = total;
-      return;
-    }
-    const core::FabricImpesWindow report = sim.advance_window(request.dt);
-    dataflow::accumulate(total, report.fabric);
-    cg_iterations += report.cg_iterations;
-    substeps += report.transport_substeps;
-    const i32 done = window + 1;
-    if (checkpointing && done < request.iterations &&
-        done % request.checkpoint_every == 0) {
-      std::filesystem::create_directories(context.checkpoint_dir);
-      io::save_field(paths.saturation, sim.saturation());
-      io::save_field(paths.pressure, sim.pressure());
-      // Meta goes last: a checkpoint without its meta file is invisible
-      // to resume, so a crash mid-save can never resume partial state.
-      std::ofstream meta_out(paths.meta, std::ios::binary | std::ios::trunc);
-      meta_out << "canonical=" << canonical_content(request) << '\n'
-               << "windows_done=" << done << '\n'
-               << "cg_iterations_total=" << cg_iterations << '\n'
-               << "transport_substeps_total=" << substeps << '\n'
-               << serialize_run_info(total);
-      checkpoints_saved_.fetch_add(1);
-    }
-  }
-
-  if (checkpointing) {
-    // The job is complete; a finished scenario must not leave a stale
-    // resume point behind.
-    std::remove(paths.meta.c_str());
-    std::remove(paths.saturation.c_str());
-    std::remove(paths.pressure.c_str());
-  }
-
-  response.info = total;
-  u64 digest = digest_field(kDigestSeed, sim.saturation());
-  digest = digest_field(digest, sim.pressure());
-  response.result_digest = digest;
-  response.summary.emplace_back("windows",
-                                static_cast<f64>(request.iterations));
-  response.summary.emplace_back("cg_iterations",
-                                static_cast<f64>(cg_iterations));
-  response.summary.emplace_back("transport_substeps",
-                                static_cast<f64>(substeps));
-  response.summary.emplace_back("co2_in_place", sim.co2_in_place());
 }
 
 }  // namespace fvf::serve

@@ -1,19 +1,21 @@
 /// \file executor.hpp
-/// \brief Maps a parsed scenario request onto one of the six fabric
-///        programs, sharing the expensive setup across requests.
+/// \brief Runs a parsed scenario request through api::run_field_equation
+///        on either backend, sharing the expensive setup across requests.
 ///
-/// Three content-hash cache layers sit between a request and the event
-/// engine:
+/// The executor lends the api run what only serve owns: its caches, the
+/// lint level its lint-pass cache chooses, and an IMPES window hook for
+/// deadlines and checkpoints. Three content-hash cache layers sit between
+/// a request and the kernels:
 ///
 ///   - **problem cache** — geomodel + mesh + transmissibility
-///     construction (physics::FlowProblem), keyed by extents/seed/kind;
-///   - **setup cache** — the linearized pressure system (stencil build,
-///     manufactured RHS, Jacobi scaling) shared by the CG and wave
-///     scenarios, keyed by problem + dt;
+///     construction (physics::FlowProblem), keyed by extents/seed/kind,
+///     shared by both backends;
+///   - **setup cache** — the linearized pressure system (api::LinearSetup)
+///     shared by the CG and wave scenarios, keyed by problem + dt;
 ///   - **lint cache** — successful static verification (routing graphs,
 ///     memory budgets, switch hazards are a property of program
-///     structure, not data), keyed by program/extents/level, so only the
-///     first request of a shape pays for fvf::lint.
+///     structure, not data), keyed by kernel/extents/level, so only the
+///     first wse request of a shape pays for fvf::lint.
 ///
 /// Full-result memoization lives above this layer, in ScenarioService.
 /// The executor also implements checkpoint/restore of long IMPES jobs
@@ -54,8 +56,6 @@ struct ExecutorStats {
   u64 resumes = 0;
 };
 
-struct CgSetup;
-
 class ScenarioExecutor {
  public:
   /// Default LRU capacity of each cache layer (entries). Generous: a
@@ -65,7 +65,6 @@ class ScenarioExecutor {
   ScenarioExecutor();
   /// `cache_entries` bounds each cache layer (0 = unbounded).
   explicit ScenarioExecutor(usize cache_entries);
-  ~ScenarioExecutor();
 
   ScenarioExecutor(const ScenarioExecutor&) = delete;
   ScenarioExecutor& operator=(const ScenarioExecutor&) = delete;
@@ -81,32 +80,14 @@ class ScenarioExecutor {
   [[nodiscard]] ExecutorStats stats() const;
 
  private:
-  void run_tpfa(const ScenarioRequest& request, ScenarioResponse& response);
-  void run_cg(const ScenarioRequest& request, ScenarioResponse& response);
-  void run_transport(const ScenarioRequest& request,
-                     ScenarioResponse& response);
-  void run_wave(const ScenarioRequest& request, ScenarioResponse& response);
-  void run_impes(const ScenarioRequest& request, ScenarioResponse& response,
-                 const ExecutionContext& context);
-  void run_heat(const ScenarioRequest& request, ScenarioResponse& response);
-  /// Every program on the executing gpusim backend, via the
-  /// fvf::api field-equation entry point (identical canonical scenario
-  /// inputs, so digests are comparable across backends).
-  void run_gpusim(const ScenarioRequest& request, ScenarioResponse& response);
-
-  [[nodiscard]] std::shared_ptr<const physics::FlowProblem> problem_for(
-      const ScenarioRequest& request);
-  [[nodiscard]] std::shared_ptr<const CgSetup> setup_for(
-      const ScenarioRequest& request);
-
   /// The lint level the run should use: the request's level on first
-  /// sight of a (program, extents, level) shape, Off once that shape has
+  /// sight of a (kernel, extents, level) shape, Off once that shape has
   /// verified cleanly before. record_lint_pass() marks the shape clean.
   [[nodiscard]] lint::Level effective_lint(const ScenarioRequest& request);
   void record_lint_pass(const ScenarioRequest& request);
 
   HashCache<physics::FlowProblem> problems_;
-  HashCache<CgSetup> setups_;
+  HashCache<api::LinearSetup> setups_;
   HashCache<bool> lint_passes_;
   std::atomic<u64> simulations_{0};
   std::atomic<u64> checkpoints_saved_{0};

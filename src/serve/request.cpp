@@ -5,28 +5,9 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "api/backend.hpp"
 #include "common/assert.hpp"
 
 namespace fvf::serve {
-
-std::string_view program_name(ProgramKind kind) noexcept {
-  switch (kind) {
-    case ProgramKind::Tpfa:
-      return "tpfa";
-    case ProgramKind::Cg:
-      return "cg";
-    case ProgramKind::Transport:
-      return "transport";
-    case ProgramKind::Wave:
-      return "wave";
-    case ProgramKind::Impes:
-      return "impes";
-    case ProgramKind::Heat:
-      return "heat";
-  }
-  return "?";
-}
 
 std::string_view backend_choice_name(BackendChoice backend) noexcept {
   switch (backend) {
@@ -98,20 +79,6 @@ f64 parse_f64(const std::string& key, const std::string& value) {
   return parsed;
 }
 
-ProgramKind parse_program(const std::string& value) {
-  for (u8 p = 0; p < kProgramCount; ++p) {
-    const ProgramKind kind = static_cast<ProgramKind>(p);
-    if (value == program_name(kind)) {
-      return kind;
-    }
-  }
-  FVF_REQUIRE_MSG(false,
-                  "unknown program '"
-                      << value
-                      << "' (expected tpfa|cg|transport|wave|impes|heat)");
-  return ProgramKind::Tpfa;  // unreachable
-}
-
 Priority parse_priority(const std::string& value) {
   if (value == "interactive" || value == "high") {
     return Priority::Interactive;
@@ -168,86 +135,10 @@ std::string canonical_f64(f64 value) {
   return buffer;
 }
 
-/// Per-program defaults for the work-count and timestep fields, applied
-/// after parsing so the canonical content never contains a 0 sentinel.
-void apply_defaults(ScenarioRequest& request) {
-  if (request.iterations == 0) {
-    switch (request.program) {
-      case ProgramKind::Tpfa:
-        request.iterations = 2;
-        break;
-      case ProgramKind::Cg:
-        request.iterations = 200;
-        break;
-      case ProgramKind::Transport:
-        request.iterations = 1;
-        break;
-      case ProgramKind::Wave:
-        request.iterations = 8;
-        break;
-      case ProgramKind::Impes:
-        request.iterations = 3;
-        break;
-      case ProgramKind::Heat:
-        request.iterations = 10;
-        break;
-    }
-  }
-  if (request.backend == BackendChoice::Auto) {
-    // Deterministic routing: background work runs on the executing GPU
-    // backend, keeping the fabric free for interactive/batch requests.
-    request.backend = request.priority == Priority::Background
-                          ? BackendChoice::Gpusim
-                          : BackendChoice::Wse;
-  }
-  if (request.dt == 0.0) {
-    switch (request.program) {
-      case ProgramKind::Tpfa:
-      case ProgramKind::Heat:
-        request.dt = 3600.0;  // unused by the kernel, fixed for the hash
-        break;
-      case ProgramKind::Cg:
-      case ProgramKind::Wave:
-        request.dt = 3600.0;
-        break;
-      case ProgramKind::Transport:
-      case ProgramKind::Impes:
-        request.dt = 900.0;
-        break;
-    }
-  }
-}
-
-void validate(const ScenarioRequest& request) {
-  FVF_REQUIRE_MSG(request.nx > 0 && request.ny > 0 && request.nz > 0,
-                  "request extents must be positive ("
-                      << request.nx << 'x' << request.ny << 'x' << request.nz
-                      << ')');
-  FVF_REQUIRE_MSG(request.iterations > 0, "request field 'iterations' = "
-                                              << request.iterations
-                                              << " must be positive");
-  FVF_REQUIRE_MSG(request.dt > 0.0,
-                  "request field 'dt' = " << request.dt << " must be positive");
-  FVF_REQUIRE_MSG(request.tol > 0.0, "request field 'tol' = "
-                                         << request.tol << " must be positive");
-  FVF_REQUIRE_MSG(request.fault_rate >= 0.0 && request.fault_rate <= 1.0,
-                  "request field 'fault_rate' = " << request.fault_rate
-                                                  << " must be in [0, 1]");
-  FVF_REQUIRE_MSG(request.threads >= 1, "request field 'threads' = "
-                                            << request.threads
-                                            << " must be >= 1");
-  FVF_REQUIRE_MSG(request.checkpoint_every >= 0,
-                  "request field 'checkpoint_every' = "
-                      << request.checkpoint_every << " must be >= 0");
-}
-
 }  // namespace
 
 ScenarioRequest parse_request(std::string_view line) {
   ScenarioRequest request;
-  request.iterations = 0;  // 0 = resolve the per-program default below
-  request.dt = 0.0;
-
   std::string text(line);
   for (char& c : text) {
     if (c == ',') {
@@ -268,7 +159,7 @@ ScenarioRequest parse_request(std::string_view line) {
     const std::string value = token.substr(eq + 1);
 
     if (key == "program") {
-      request.program = parse_program(value);
+      request.kernel = api::find_kernel(value).name;
     } else if (key == "backend") {
       request.backend = parse_backend_choice(value);
     } else if (key == "nx") {
@@ -306,15 +197,22 @@ ScenarioRequest parse_request(std::string_view line) {
   // Defaults resolve only once parsing is complete: the program token
   // may come before or after the fields it defaults, and order must not
   // matter.
-  apply_defaults(request);
-  validate(request);
-  return request;
+  return resolve_defaults(request);
 }
 
 ScenarioRequest resolve_defaults(const ScenarioRequest& request) {
   ScenarioRequest resolved = request;
-  apply_defaults(resolved);
-  validate(resolved);
+  static_cast<api::FieldEquationSpec&>(resolved) = api::resolve_spec(request);
+  if (resolved.backend == BackendChoice::Auto) {
+    // Deterministic routing: background work runs on the executing GPU
+    // backend, keeping the fabric free for interactive/batch requests.
+    resolved.backend = resolved.priority == Priority::Background
+                           ? BackendChoice::Gpusim
+                           : BackendChoice::Wse;
+  }
+  FVF_REQUIRE_MSG(resolved.checkpoint_every >= 0,
+                  "request field 'checkpoint_every' = "
+                      << resolved.checkpoint_every << " must be >= 0");
   return resolved;
 }
 
@@ -327,23 +225,15 @@ std::string canonical_content(const ScenarioRequest& request) {
      << " fault_seed=" << defaulted.fault_seed
      << " iterations=" << defaulted.iterations << " nx=" << defaulted.nx
      << " ny=" << defaulted.ny << " nz=" << defaulted.nz
-     << " program=" << program_name(defaulted.program)
+     << " program=" << defaulted.kernel
      << " seed=" << defaulted.seed << " tol=" << canonical_f64(defaulted.tol);
   return os.str();
 }
 
 u64 fnv1a(std::string_view bytes) noexcept {
-  u64 hash = 0xcbf29ce484222325ULL;
+  u64 hash = api::kDigestSeed;
   for (const char c : bytes) {
     hash ^= static_cast<u8>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-u64 fnv1a_mix(u64 hash, u64 value) noexcept {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xffULL;
     hash *= 0x100000001b3ULL;
   }
   return hash;

@@ -3,32 +3,28 @@
 ///        schema, field canonicalization, and the content hash that keys
 ///        every cache layer.
 ///
-/// A scenario request names one of the five fabric programs plus the
-/// inputs that determine its result bit-for-bit: mesh extents, geomodel
-/// seed, iteration/window counts, timestep, tolerance, and the fault
-/// scenario. Because the simulator is deterministic (and bit-identical
-/// for every --threads value), that tuple is a perfect memoization key —
-/// scenario_hash() is computed over the *canonical* form of exactly those
-/// fields, so spelling variants ("fault-rate" vs "fault_rate", field
-/// order, "1e-05" vs "0.00001") hash identically, while scheduling
-/// metadata (threads, priority, deadline) never pollutes the key.
+/// A scenario request names one of the kernels of api::kernel_records()
+/// plus the inputs that determine its result bit-for-bit: the content
+/// fields of api::FieldEquationSpec (mesh extents, geomodel seed,
+/// iteration/window counts, timestep, tolerance, and the fault scenario)
+/// and the resolved backend. Because the simulator is deterministic (and
+/// bit-identical for every --threads value), that tuple is a perfect
+/// memoization key — scenario_hash() is computed over the *canonical*
+/// form of exactly those fields, so spelling variants ("fault-rate" vs
+/// "fault_rate", field order, "1e-05" vs "0.00001") hash identically,
+/// while scheduling metadata (threads, priority, deadline) never pollutes
+/// the key.
 #pragma once
 
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "api/api.hpp"
 #include "common/types.hpp"
 #include "lint/lint.hpp"
 
 namespace fvf::serve {
-
-/// Which fabric program the scenario runs.
-enum class ProgramKind : u8 { Tpfa, Cg, Transport, Wave, Impes, Heat };
-
-inline constexpr usize kProgramCount = 6;
-
-[[nodiscard]] std::string_view program_name(ProgramKind kind) noexcept;
 
 /// Admission priority class. Lower enum value = more important. When the
 /// bounded queue overflows the service sheds from the lowest class first
@@ -48,44 +44,22 @@ enum class BackendChoice : u8 { Auto = 0, Wse = 1, Gpusim = 2 };
 [[nodiscard]] std::string_view backend_choice_name(
     BackendChoice backend) noexcept;
 
-/// A parsed scenario request.
+/// A parsed scenario request: the api's content fields plus the resolved
+/// backend and how the service schedules the run.
 ///
-/// Content fields (hashed): program, backend (resolved), nx, ny, nz,
-/// seed, iterations, dt, tol, fault_seed, fault_rate. Scheduling fields
-/// (not hashed): threads, lint, priority, deadline_ms, checkpoint_every.
-struct ScenarioRequest {
-  ProgramKind program = ProgramKind::Tpfa;
-
-  // --- content: what the simulation computes -------------------------------
-  i32 nx = 6;
-  i32 ny = 6;
-  i32 nz = 4;
-  /// Geomodel / field seed (physics::ProblemSpec::seed).
-  u64 seed = 42;
-  /// Program-specific work count: TPFA iterations, CG max iterations,
-  /// wave timesteps, transport windows (always 1), IMPES windows.
-  i32 iterations = 0;  ///< 0 = per-program default (see parse_request)
-  /// Timestep / window seconds: CG+wave stencil dt, transport/IMPES
-  /// window length.
-  f64 dt = 0.0;  ///< 0 = per-program default
-  /// CG relative tolerance (ignored by the other programs).
-  f64 tol = 1e-5;
-  /// Fault scenario (wse::FaultConfig::uniform(fault_seed, fault_rate)).
-  /// Fabric-only: the gpusim backend has no fault injection and ignores
-  /// these (they still hash, keeping the canonical form uniform).
-  u64 fault_seed = 1;
-  f64 fault_rate = 0.0;
+/// Content fields (hashed): kernel (spelled `program=`), backend
+/// (resolved), nx, ny, nz, seed, iterations, dt, tol, fault_seed,
+/// fault_rate. Scheduling fields (not hashed): threads, lint, priority,
+/// deadline_ms, checkpoint_every.
+struct ScenarioRequest : api::FieldEquationSpec {
   /// Execution backend. Auto resolves by priority (see BackendChoice);
   /// the resolved value is hashed as content.
   BackendChoice backend = BackendChoice::Auto;
 
   // --- scheduling: how the service runs it (never hashed) ------------------
-  /// Event-engine host threads. Results are bit-identical for every
-  /// value, which is exactly why this is not part of the scenario hash.
-  i32 threads = 1;
   /// Static verification level applied at load. Lint findings are a
   /// property of the program structure, not the data, so successful
-  /// verification is cached per (program, extents, level) and skipped on
+  /// verification is cached per (kernel, extents, level) and skipped on
   /// later requests.
   lint::Level lint = lint::Level::Off;
   Priority priority = Priority::Batch;
@@ -108,8 +82,8 @@ struct ScenarioRequest {
 /// out-of-range field.
 [[nodiscard]] ScenarioRequest parse_request(std::string_view line);
 
-/// Returns the request with the per-program iteration/dt defaults
-/// resolved (0 sentinels replaced), after validating every field. The
+/// Returns the request with the kernel's iteration/dt defaults and the
+/// backend resolved, after validating every field. The
 /// executor and the canonical hash both operate on resolved requests so
 /// an explicit "iterations=200" and a defaulted CG request are the same
 /// scenario.
@@ -129,6 +103,6 @@ struct ScenarioRequest {
 [[nodiscard]] u64 fnv1a(std::string_view bytes) noexcept;
 
 /// Mixes `value` into an existing FNV-1a state (for composite keys).
-[[nodiscard]] u64 fnv1a_mix(u64 hash, u64 value) noexcept;
+using api::fnv1a_mix;
 
 }  // namespace fvf::serve

@@ -262,19 +262,4 @@ std::string serialize_response(const ScenarioResponse& response) {
   return os.str();
 }
 
-u64 digest_f32(u64 hash, std::span<const f32> values) noexcept {
-  for (const f32 value : values) {
-    hash = fnv1a_mix(hash, std::bit_cast<u32>(value));
-  }
-  return hash;
-}
-
-u64 digest_field(u64 hash, const Array3<f32>& field) noexcept {
-  const Extents3 ext = field.extents();
-  hash = fnv1a_mix(hash, static_cast<u64>(ext.nx));
-  hash = fnv1a_mix(hash, static_cast<u64>(ext.ny));
-  hash = fnv1a_mix(hash, static_cast<u64>(ext.nz));
-  return digest_f32(hash, field.flat());
-}
-
 }  // namespace fvf::serve

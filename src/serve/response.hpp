@@ -11,12 +11,10 @@
 /// accumulated accounting.
 #pragma once
 
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/array3d.hpp"
 #include "dataflow/run_info.hpp"
 
 namespace fvf::serve {
@@ -81,11 +79,5 @@ struct ScenarioResponse {
 /// accumulated accounting of a multi-launch job, which drops it); throws
 /// ContractViolation otherwise or on malformed text.
 [[nodiscard]] dataflow::RunInfo parse_run_info(const std::string& text);
-
-/// FNV-1a 64 over the raw bit patterns of `values`, chained onto `hash`.
-[[nodiscard]] u64 digest_f32(u64 hash, std::span<const f32> values) noexcept;
-
-/// Digest of a whole field (extents + payload bits), chained onto `hash`.
-[[nodiscard]] u64 digest_field(u64 hash, const Array3<f32>& field) noexcept;
 
 }  // namespace fvf::serve

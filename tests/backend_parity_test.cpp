@@ -368,19 +368,49 @@ TEST(FieldEquationApiTest, ResultsAreDeterministicPerBackend) {
   }
 }
 
+/// The message a call throws, or "" when it does not throw.
+template <typename Fn>
+std::string thrown_message(Fn&& call) {
+  try {
+    call();
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(FieldEquationApiTest, UnknownKernelFailsLoudlyWithInventory) {
+  // The api records and the spec registry are one inventory, in one
+  // order, and serve accepts every name of it.
   core::register_builtin_kernels();
+  const std::vector<spec::KernelInfo> registry = spec::registered_kernels();
+  ASSERT_EQ(api::kernel_records().size(), registry.size());
+  std::string inventory;
+  for (usize k = 0; k < registry.size(); ++k) {
+    const std::string_view name = api::kernel_records()[k].name;
+    EXPECT_EQ(name, registry[k].name);
+    EXPECT_EQ(serve::parse_request("program=" + std::string(name)).kernel,
+              name);
+    inventory += (k == 0 ? "" : "|") + std::string(name);
+  }
+
+  // An unknown name fails with the full inventory, through one message,
+  // whether it reaches the api directly or arrives as a request line.
   api::FieldEquationSpec spec;
   spec.kernel = "maxwell";
-  try {
-    (void)api::run_field_equation(spec, api::Backend::Wse);
-    FAIL() << "unknown kernel must throw";
-  } catch (const ContractViolation& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("maxwell"), std::string::npos);
-    EXPECT_NE(message.find("tpfa"), std::string::npos)
-        << "error must list the registered kernels: " << message;
-  }
+  const std::string from_api =
+      thrown_message([&] { (void)api::resolve_spec(spec); });
+  EXPECT_NE(from_api.find("unknown kernel 'maxwell' (registered kernels: " +
+                          inventory + ")"),
+            std::string::npos)
+      << from_api;
+  EXPECT_EQ(thrown_message([&] {
+              (void)api::run_field_equation(spec, api::Backend::Wse);
+            }),
+            from_api);
+  EXPECT_EQ(thrown_message(
+                [] { (void)serve::parse_request("program=maxwell nx=4"); }),
+            from_api);
 }
 
 TEST(BackendParseTest, UnknownBackendFailsLoudlyWithInventory) {

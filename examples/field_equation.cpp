@@ -31,6 +31,9 @@ api::FieldEquationResult run_one(const api::FieldEquationSpec& spec,
             << "  device " << result.device_seconds * 1e3 << " ms"
             << "  digest " << std::hex << result.result_digest << std::dec
             << "\n";
+  if (!result.error.empty()) {
+    std::cout << "        error: " << result.error << "\n";
+  }
   for (const auto& [name, value] : result.summary) {
     std::cout << "        " << name << " = " << value << "\n";
   }

@@ -123,6 +123,9 @@ struct ImpesProgress {
 /// checkpoints). The defaults do nothing.
 class ImpesHook {
  public:
+  ImpesHook() = default;
+  ImpesHook(const ImpesHook&) = delete;
+  ImpesHook& operator=(const ImpesHook&) = delete;
   virtual ~ImpesHook() = default;
   /// Before the first window: may restore saved state into `sim` and
   /// `progress`; the loop then continues from progress.windows_done.
@@ -154,8 +157,8 @@ enum class ProblemKind : u8 {
   Injection,  ///< the homogeneous injection geomodel of the IMPES demos
 };
 
-/// One run being executed: the resolved spec, its record and the
-/// caller's context (defined in api.cpp).
+/// One run being executed: the resolved spec, the kernel's problem kind
+/// and the caller's context (defined in api.cpp).
 class Scenario;
 
 using KernelRunner = void (*)(const Scenario&, FieldEquationResult&);
@@ -164,7 +167,9 @@ using KernelRunner = void (*)(const Scenario&, FieldEquationResult&);
 struct KernelRecord {
   std::string_view name;
   i32 default_iterations;
-  f64 default_dt;  ///< seconds
+  /// Seconds. Set even for kernels that ignore dt (tpfa, heat), so the
+  /// resolved spec, and serve's scenario hash, never holds a 0 sentinel.
+  f64 default_dt;
   ProblemKind problem;
   KernelRunner wse;
   KernelRunner gpusim;

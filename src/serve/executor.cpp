@@ -211,17 +211,20 @@ ScenarioResponse ScenarioExecutor::execute(const ScenarioRequest& raw,
     const bool wse = request.backend == BackendChoice::Wse;
     ImpesJob impes(request, context, response, checkpoints_saved_, resumes_);
     api::RunContext run;
-    run.problems = [this](u64 key,
-                          const std::function<physics::FlowProblem()>& build) {
-      return problems_.get_or_build(key, build);
-    };
-    run.setups = [this](u64 key,
-                        const std::function<api::LinearSetup()>& build) {
-      return setups_.get_or_build(key, build);
-    };
     if (wse) {
-      // Lint verifies fabric programs and the window hook drives fabric
-      // IMPES; the gpusim backend uses neither.
+      // Everything serve lends is for fabric runs: lint verifies fabric
+      // programs, the hook drives fabric IMPES, and the caches amortize
+      // fabric setup. gpusim runs build their inputs fresh rather than
+      // hold every gpusim problem in the caches for the service's life.
+      run.problems = [this](
+                         u64 key,
+                         const std::function<physics::FlowProblem()>& build) {
+        return problems_.get_or_build(key, build);
+      };
+      run.setups = [this](u64 key,
+                          const std::function<api::LinearSetup()>& build) {
+        return setups_.get_or_build(key, build);
+      };
       run.lint = effective_lint(request);
       run.impes = &impes;
     }

@@ -2,14 +2,13 @@
 /// \brief Runs a parsed scenario request through api::run_field_equation
 ///        on either backend, sharing the expensive setup across requests.
 ///
-/// The executor lends the api run what only serve owns: its caches, the
+/// The executor lends a wse run what only serve owns: its caches, the
 /// lint level its lint-pass cache chooses, and an IMPES window hook for
 /// deadlines and checkpoints. Three content-hash cache layers sit between
-/// a request and the kernels:
+/// a request and the fabric kernels:
 ///
 ///   - **problem cache** — geomodel + mesh + transmissibility
-///     construction (physics::FlowProblem), keyed by extents/seed/kind,
-///     shared by both backends;
+///     construction (physics::FlowProblem), keyed by extents/seed/kind;
 ///   - **setup cache** — the linearized pressure system (api::LinearSetup)
 ///     shared by the CG and wave scenarios, keyed by problem + dt;
 ///   - **lint cache** — successful static verification (routing graphs,

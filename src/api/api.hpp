@@ -1,7 +1,7 @@
 /// \file api.hpp
 /// \brief The scenario-level field-equation entry point: one call runs
-///        any kernel from the spec::registry on either backend and
-///        returns a backend-tagged result with the shared timing surface.
+///        any registered kernel on either backend and returns a
+///        backend-tagged result with the shared timing surface.
 ///
 /// Each kernel has one KernelRecord here: its name, default work count
 /// and timestep, the canonical problem it builds, and one runner per

@@ -1,4 +1,5 @@
-// Golden-trace regressions for the TPFA and CG communication patterns,
+// Golden-trace regressions for the TPFA, CG and wave communication
+// patterns (CG also with the halo reliability layer on),
 // plus regression coverage for the RunReport accounting paths (trace
 // records dropped at recorder capacity, errors suppressed past the
 // recording cap). Each golden file pins the exact event stream — kind,
@@ -17,6 +18,7 @@
 #include "core/cg_program.hpp"
 #include "core/launcher.hpp"
 #include "core/linear_stencil.hpp"
+#include "core/wave_program.hpp"
 #include "physics/problem.hpp"
 #include "wse/fabric.hpp"
 #include "wse/trace.hpp"
@@ -28,6 +30,10 @@ constexpr const char* kGoldenPath =
     FVF_TEST_DATA_DIR "/tpfa_trace_3x3x2.golden";
 constexpr const char* kCgGoldenPath =
     FVF_TEST_DATA_DIR "/cg_trace_3x3x2.golden";
+constexpr const char* kCgReliableGoldenPath =
+    FVF_TEST_DATA_DIR "/cg_reliable_trace_3x3x2.golden";
+constexpr const char* kWaveGoldenPath =
+    FVF_TEST_DATA_DIR "/wave_trace_3x3x2.golden";
 
 physics::FlowProblem golden_problem() {
   physics::ProblemSpec spec;
@@ -59,7 +65,8 @@ std::string record_trace(i32 threads, wse::TraceRecorder& recorder,
 /// Two fixed CG iterations on the same 3x3x2 mesh: cardinal + diagonal
 /// halo rounds interleaved with the dot-product all-reduce trees.
 std::string record_cg_trace(i32 threads, wse::TraceRecorder& recorder,
-                            bool hazard_check = false) {
+                            bool hazard_check = false,
+                            bool reliability = false) {
   const LinearStencil stencil =
       build_linear_stencil(golden_problem(), 86400.0);
   const ScaledSystem scaled = jacobi_scale(stencil);
@@ -67,6 +74,7 @@ std::string record_cg_trace(i32 threads, wse::TraceRecorder& recorder,
 
   DataflowCgOptions options;
   options.kernel.max_iterations = 2;
+  options.reliability.enabled = reliability;
   options.execution.threads = threads;
   options.execution.hazard_check = hazard_check;
   options.trace = &recorder;
@@ -75,6 +83,25 @@ std::string record_cg_trace(i32 threads, wse::TraceRecorder& recorder,
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.hazards_total, 0u);
   EXPECT_EQ(result.iterations, 2);
+  EXPECT_EQ(result.trace_events_emitted, recorder.events().size());
+  EXPECT_EQ(result.trace_records_dropped, 0u);
+  return recorder.render(recorder.events().size());
+}
+
+/// Two leapfrog steps on the same 3x3x2 mesh: halo rounds only, no
+/// reduction.
+std::string record_wave_trace(i32 threads, wse::TraceRecorder& recorder) {
+  const LinearStencil stencil =
+      jacobi_scale(build_linear_stencil(golden_problem(), 3600.0)).stencil;
+  const Array3<f32> pulse = gaussian_pulse(stencil.extents, 1.0, 2.0);
+
+  DataflowWaveOptions options;
+  options.kernel.timesteps = 2;
+  options.kernel.kappa = 0.4f;
+  options.execution.threads = threads;
+  options.trace = &recorder;
+  const DataflowWaveResult result = run_dataflow_wave(stencil, pulse, options);
+  EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.trace_events_emitted, recorder.events().size());
   EXPECT_EQ(result.trace_records_dropped, 0u);
   return recorder.render(recorder.events().size());
@@ -196,6 +223,27 @@ TEST(GoldenTraceTest, CgGoldenUnchangedWithHazardCheckAcrossThreads) {
         record_cg_trace(threads, recorder, /*hazard_check=*/true);
     ASSERT_GT(recorder.events().size(), 0u);
     check_against_golden(kCgGoldenPath, actual);
+  }
+}
+
+TEST(GoldenTraceTest, CgReliableGoldenUnchangedAcrossThreads) {
+  // The ack/retransmit layer on a fault-free fabric: the NACK color is
+  // claimed and every PE arms its watchdog timers, but nothing drops.
+  for (const i32 threads : {1, 2, 4}) {
+    wse::TraceRecorder recorder(1u << 20);
+    const std::string actual = record_cg_trace(
+        threads, recorder, /*hazard_check=*/false, /*reliability=*/true);
+    ASSERT_GT(recorder.events().size(), 0u);
+    check_against_golden(kCgReliableGoldenPath, actual);
+  }
+}
+
+TEST(GoldenTraceTest, WaveGoldenUnchangedAcrossThreads) {
+  for (const i32 threads : {1, 2, 4}) {
+    wse::TraceRecorder recorder(1u << 20);
+    const std::string actual = record_wave_trace(threads, recorder);
+    ASSERT_GT(recorder.events().size(), 0u);
+    check_against_golden(kWaveGoldenPath, actual);
   }
 }
 

@@ -369,10 +369,9 @@ class FlowLinter {
     if (exceeding > 1) {
       os << " (" << exceeding << " PEs exceed the configured depth)";
     }
-    Diagnostic d{Check::BufferOverflowPossible, Severity::Error, worst->pe,
-                 one_color ? single_color : std::nullopt, os.str()};
-    d.bound = analysis.minimal_depth;
-    push(std::move(d));
+    push(Diagnostic{Check::BufferOverflowPossible, Severity::Error,
+                    worst->pe, one_color ? single_color : std::nullopt,
+                    os.str(), analysis.minimal_depth});
   }
 
   void check_deadlock() {
@@ -505,7 +504,8 @@ class FlowLinter {
     }
     FVF_ASSERT(!sends.empty());
     push(Diagnostic{Check::CrossColorDeadlock, Severity::Error,
-                    sends.front().pe, sends.front().color, os.str()});
+                    sends.front().pe, sends.front().color, os.str(),
+                    std::nullopt});
   }
 
   void check_determinism() {
@@ -629,7 +629,7 @@ class FlowLinter {
                       fold.colors.size() == 1
                           ? std::optional<Color>{fold.colors[0]}
                           : std::nullopt,
-                      os.str()});
+                      os.str(), std::nullopt});
     }
   }
 

@@ -71,7 +71,8 @@ class Linter {
   void add(Check check, Severity severity, Coord2 pe,
            std::optional<Color> color, std::string message) {
     report_.diagnostics.push_back(
-        Diagnostic{check, severity, pe, color, std::move(message)});
+        Diagnostic{check, severity, pe, color, std::move(message),
+                   std::nullopt});
   }
 
   /// The historic load-time route audit: every configured color must be

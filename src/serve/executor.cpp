@@ -1,9 +1,12 @@
 #include "serve/executor.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/assert.hpp"
 #include "core/fabric_impes.hpp"
@@ -22,6 +25,8 @@ u64 lint_key(const ScenarioRequest& request) {
   key = fnv1a_mix(key, static_cast<u64>(request.lint));
   return key;
 }
+
+constexpr i64 kMaxCount = std::numeric_limits<i64>::max();
 
 /// Checkpoint file paths of a long job, named by the scenario hash.
 struct CheckpointPaths {
@@ -78,21 +83,37 @@ class ImpesJob final : public api::ImpesHook {
     if (meta.find(canonical_line_) == std::string::npos) {
       return;
     }
-    const dataflow::RunInfo done = parse_run_info(meta);
+    // Check every counter before touching the simulator: serve writes
+    // checkpoints only before the last window, so a resume point outside
+    // [1, iterations) or a negative total is a corrupt or foreign file.
+    const auto counter = [&](const std::string& field, i64 lo, i64 hi) {
+      std::string value;
+      std::istringstream lines(meta);
+      for (std::string line; std::getline(lines, line);) {
+        if (line.rfind(field + "=", 0) == 0) {
+          value = line.substr(field.size() + 1);
+        }
+      }
+      i64 parsed = 0;
+      const char* end = value.data() + value.size();
+      const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+      if (value.empty() || ec != std::errc{} || ptr != end || parsed < lo ||
+          parsed > hi) {
+        throw ContractViolation(
+            "checkpoint meta " + paths_.meta + ": field " + field + "='" +
+            value + "' is not an integer in [" + std::to_string(lo) + ", " +
+            (hi == kMaxCount ? "inf" : std::to_string(hi + 1)) + ")");
+      }
+      return parsed;
+    };
+    progress.windows_done =
+        static_cast<i32>(counter("windows_done", 1, request_.iterations - 1));
+    progress.cg_iterations = counter("cg_iterations_total", 0, kMaxCount);
+    progress.transport_substeps =
+        counter("transport_substeps_total", 0, kMaxCount);
+    progress.fabric = parse_run_info(meta);
     sim.restore_state(io::load_field(paths_.saturation),
                       io::load_field(paths_.pressure));
-    progress.fabric = done;
-    std::istringstream scalars(meta);
-    std::string line;
-    while (std::getline(scalars, line)) {
-      if (line.rfind("windows_done=", 0) == 0) {
-        progress.windows_done = static_cast<i32>(std::stol(line.substr(13)));
-      } else if (line.rfind("cg_iterations_total=", 0) == 0) {
-        progress.cg_iterations = std::stol(line.substr(20));
-      } else if (line.rfind("transport_substeps_total=", 0) == 0) {
-        progress.transport_substeps = std::stol(line.substr(25));
-      }
-    }
     response_.resumed = true;
     resumes_.fetch_add(1);
   }

@@ -15,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/request.hpp"
@@ -163,8 +164,11 @@ TEST(ServeDeadlineTest, CancelsImpesCleanlyBetweenWindows) {
 class ServeCheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One directory per test, so parallel ctest processes never share
+    // checkpoint files.
     dir_ = std::filesystem::temp_directory_path() /
-           "fluxwse_serve_ckpt_test";
+           (std::string("fluxwse_serve_ckpt_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }
@@ -265,6 +269,68 @@ TEST_F(ServeCheckpointTest, CheckpointOfADifferentScenarioIsNeverResumed) {
   ASSERT_TRUE(response.ok()) << response.error;
   EXPECT_FALSE(response.resumed);
   EXPECT_EQ(service.stats().executor.resumes, 0u);
+}
+
+TEST_F(ServeCheckpointTest, CorruptMetaCounterFailsNamingItAndIsNotMemoized) {
+  // A checkpoint of this exact scenario whose counters were tampered
+  // with must not resume: the job fails naming the meta file, the field
+  // and the value, and nothing is memoized under the scenario's hash.
+  const std::string scenario =
+      "program=impes nx=4 ny=4 nz=3 seed=7 windows=4 dt=900 "
+      "checkpoint-every=2";
+  const std::vector<std::pair<std::string, std::string>> corruptions = {
+      {"windows_done=", "-2"},
+      {"windows_done=", "4"},
+      {"windows_done=", "two"},
+      {"cg_iterations_total=", "-1"},
+      {"transport_substeps_total=", "-7"},
+  };
+  for (const auto& [field, value] : corruptions) {
+    std::filesystem::remove_all(dir_);
+    ServiceOptions options = manual_options();
+    options.checkpoint_dir = dir_.string();
+    ScenarioService service(options);
+    const auto seeded = service.submit_line(scenario + " deadline-ms=25");
+    service.drain();
+    ASSERT_EQ(seeded.get().status, RequestStatus::DeadlineExpired);
+
+    std::string meta_path;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.path().extension() == ".meta") {
+        meta_path = entry.path().string();
+      }
+    }
+    ASSERT_FALSE(meta_path.empty());
+    std::ostringstream rewritten;
+    {
+      std::ifstream in(meta_path);
+      std::string line;
+      while (std::getline(in, line)) {
+        rewritten << (line.rfind(field, 0) == 0 ? field + value : line)
+                  << '\n';
+      }
+    }
+    std::ofstream(meta_path, std::ios::binary | std::ios::trunc)
+        << rewritten.str();
+
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const auto retry = service.submit_line(scenario);
+      service.drain();
+      const ScenarioResponse response = retry.get();
+      EXPECT_EQ(response.status, RequestStatus::Failed) << field << value;
+      EXPECT_NE(response.error.find("checkpoint meta " + meta_path),
+                std::string::npos)
+          << response.error;
+      const std::string named = field.substr(0, field.size() - 1) + "='" +
+                                value + "'";
+      EXPECT_NE(response.error.find(named), std::string::npos)
+          << response.error;
+      EXPECT_FALSE(response.resumed);
+    }
+    EXPECT_EQ(service.stats().completed, 0u) << field << value;
+    EXPECT_EQ(service.stats().memo.hits, 0u) << field << value;
+    EXPECT_EQ(service.stats().executor.resumes, 0u) << field << value;
+  }
 }
 
 // --- response golden -------------------------------------------------------

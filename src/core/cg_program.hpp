@@ -12,17 +12,17 @@
 ///
 /// Every PE takes the identical alpha/beta/stop decisions because they
 /// all receive the same reduced scalars, so the distributed iteration is
-/// deterministic and terminates uniformly.
+/// deterministic and terminates uniformly. Like transport, the program is
+/// a compiled `fvf::spec` stencil program (`make_cg_spec`).
 #pragma once
 
-#include <array>
 #include <memory>
 #include <vector>
 
 #include "common/array3d.hpp"
 #include "core/linear_stencil.hpp"
 #include "dataflow/fabric_harness.hpp"
-#include "dataflow/iterative_kernel.hpp"
+#include "spec/program.hpp"
 
 namespace fvf::core {
 
@@ -32,67 +32,24 @@ struct CgKernelOptions {
   f32 relative_tolerance = 1e-5f;
 };
 
-/// Per-PE column data for the CG program.
-struct PeCgData {
-  std::vector<f32> rhs;                                    ///< b, length Nz
-  std::array<std::vector<f32>, mesh::kFaceCount> offdiag;  ///< per-face
-  std::vector<f32> diag;                                   ///< diagonal
-};
+/// The declarative description of the CG program: the [d] static-halo
+/// exchange, the dot-product SUM-reduction, and the complete ordered
+/// per-PE memory layout. The physics arrives as the (file-local)
+/// CgKernel's start / round / reduced hooks.
+[[nodiscard]] spec::StencilSpec make_cg_spec(const CgKernelOptions& options);
 
-/// The per-PE CG program. The all-reduce tree colors come from the launch
-/// pipeline's ColorPlan claim.
-class CgPeProgram final : public dataflow::IterativeKernelProgram {
- public:
-  CgPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-              CgKernelOptions options, wse::AllReduceColors reduce_colors,
-              PeCgData data, dataflow::HaloReliabilityOptions reliability = {});
+class CgKernel;
 
-  [[nodiscard]] std::span<const f32> solution() const noexcept { return x_; }
-  [[nodiscard]] i32 iterations() const noexcept { return iterations_; }
-  [[nodiscard]] bool converged() const noexcept { return converged_; }
-  [[nodiscard]] f64 initial_residual_norm2() const noexcept { return rho0_; }
-  [[nodiscard]] f64 final_residual_norm2() const noexcept { return rho_last_; }
-
- private:
-  // IterativeKernelProgram phase hooks.
-  void reserve_memory(wse::PeMemory& mem) override;
-  void begin(wse::PeApi& api) override;
-  void on_halo_block(wse::PeApi& api, mesh::Face face, wse::Dsd d_nb) override;
-  void on_halo_complete(wse::PeApi& api) override;
-
-  void start_exchange(wse::PeApi& api);
-  void on_dot_dq(wse::PeApi& api, f32 global);
-  void on_rho(wse::PeApi& api, f32 global);
-  [[nodiscard]] f32 local_dot(wse::PeApi& api, std::span<const f32> a,
-                              std::span<const f32> b);
-
-  i32 nz_;
-  CgKernelOptions options_;
-
-  // CG vectors (per-PE columns).
-  std::vector<f32> b_;
-  std::vector<f32> x_;
-  std::vector<f32> r_;
-  std::vector<f32> d_;
-  std::vector<f32> q_;
-  std::vector<f32> scratch_;
-  std::array<std::vector<f32>, mesh::kFaceCount> offdiag_;
-  std::vector<f32> diag_;
-
-  f32 rho_ = 0.0f;
-  f64 rho0_ = 0.0;
-  f64 rho_last_ = 0.0;
-  i32 iterations_ = 0;
-  bool converged_ = false;
-  bool done_ = false;
-};
+/// The per-PE CG program: the compiled CG spec running its (file-local)
+/// kernel. The all-reduce tree colors come from the launch's claim.
+using CgPeProgram = spec::KernelProgram<CgKernel>;
 
 /// Launch options for a fabric CG solve.
 struct DataflowCgOptions : dataflow::HarnessOptions {
   CgKernelOptions kernel{};
-  /// Halo ack/retransmit layer. Auto-enabled by run_dataflow_cg when the
-  /// fault scenario can drop blocks (bit_flip_rate > 0), since the
-  /// implicit-FIFO protocol cannot survive drops.
+  /// Halo ack/retransmit layer. Auto-enabled by the launch (spec::launch)
+  /// when the fault scenario can drop blocks (bit_flip_rate > 0), since
+  /// the implicit-FIFO protocol cannot survive drops.
   dataflow::HaloReliabilityOptions reliability{};
 };
 

@@ -1,7 +1,9 @@
 #include "core/kernel_registry.hpp"
 
+#include "core/cg_program.hpp"
 #include "core/tpfa_program.hpp"
 #include "core/transport_program.hpp"
+#include "core/wave_program.hpp"
 #include "spec/heat.hpp"
 #include "spec/registry.hpp"
 
@@ -9,24 +11,22 @@ namespace fvf::core {
 
 void register_builtin_kernels() {
   spec::register_kernel(
-      {"tpfa", true,
-       "two-point flux pressure iteration (switch-protocol exchange)",
+      {"tpfa", "two-point flux pressure iteration (switch-protocol exchange)",
        [] { return spec::compile(make_tpfa_spec({})); }});
   spec::register_kernel(
-      {"cg", false, "conjugate-gradient pressure solve (legacy path)",
-       nullptr});
+      {"cg", "conjugate-gradient pressure solve with dot-product all-reduce",
+       [] { return spec::compile(make_cg_spec({})); }});
   spec::register_kernel(
-      {"transport", true,
-       "explicit saturation transport with CFL dt min-reduce",
+      {"transport", "explicit saturation transport with CFL dt min-reduce",
        [] { return spec::compile(make_transport_spec({})); }});
   spec::register_kernel(
-      {"wave", false, "second-order acoustic wave kernel (legacy path)",
+      {"wave", "second-order acoustic wave kernel (leapfrog)",
+       [] { return spec::compile(make_wave_spec({})); }});
+  spec::register_kernel(
+      {"impes", "IMPES pressure/transport loop; runs cg + transport launches",
        nullptr});
   spec::register_kernel(
-      {"impes", false, "IMPES pressure/transport loop (legacy path)",
-       nullptr});
-  spec::register_kernel(
-      {"heat", true, "2D heat diffusion, 9-point stencil (spec-only)",
+      {"heat", "2D heat diffusion, 9-point stencil",
        [] { return spec::compile(spec::make_heat_spec({})); }});
 }
 

@@ -4,7 +4,6 @@
 
 #include "common/assert.hpp"
 #include "physics/residual.hpp"
-#include "spec/compile.hpp"
 #include "spec/launch.hpp"
 
 namespace fvf::core {
@@ -80,30 +79,14 @@ TpfaLoad load_dataflow_tpfa(const physics::FlowProblem& problem,
   TpfaKernelOptions kernel = options.kernel;
   kernel.iterations = options.iterations;
   const physics::FluidProperties fluid = problem.fluid();
-
-  // Compile the declarative spec and verify the lowered program: every
-  // compiled launch passes strict lint before the fabric runs (memoized
-  // per program shape, so replayed scenarios only pay it once).
-  const spec::CompiledSpec compiled = spec::compile(make_tpfa_spec(kernel));
-  const Coord2 extents{ext.nx, ext.ny};
-  const HarnessOptions effective = spec::verified_options(
-      compiled, extents, ext.nz, options, /*reliability_enabled=*/false);
-
-  TpfaLoad load;
-  load.harness = std::make_unique<FabricHarness>(extents, effective);
-  compiled.claim_colors(load.harness->colors(), /*reliability=*/false);
-
-  // Everything local is captured by value: the probe factory the harness
-  // keeps must stay valid after this function returns.
-  load.grid = load.harness->load<TpfaPeProgram>(
-      [&problem, ext, kernel, fluid](Coord2 coord, Coord2 fabric_size) {
+  return spec::launch<TpfaLoad>(
+      make_tpfa_spec(kernel), ext, options, /*reliability=*/{},
+      [&problem, ext, kernel, fluid](Coord2 coord, Coord2 fabric_size,
+                                     const spec::LaunchBindings&) {
         return std::make_unique<TpfaPeProgram>(
             coord, fabric_size, ext, kernel, fluid,
             extract_column(problem, coord.x, coord.y));
       });
-  spec::record_verified(compiled, extents, ext.nz, effective,
-                        /*reliability_enabled=*/false);
-  return load;
 }
 
 DataflowResult run_dataflow_tpfa(const physics::FlowProblem& problem,

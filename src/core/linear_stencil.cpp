@@ -4,6 +4,7 @@
 #include <numbers>
 
 #include "common/assert.hpp"
+#include "wse/fabric.hpp"
 
 namespace fvf::core {
 
@@ -31,6 +32,54 @@ void LinearStencil::apply_f64(std::span<const f64> u,
       }
     }
   }
+}
+
+StencilColumns StencilColumns::of(const LinearStencil& stencil,
+                                  Coord2 coord) {
+  const usize n = static_cast<usize>(stencil.extents.nz);
+  StencilColumns columns;
+  columns.diag.resize(n);
+  for (usize z = 0; z < n; ++z) {
+    columns.diag[z] = stencil.diag(coord.x, coord.y, static_cast<i32>(z));
+  }
+  for (const mesh::Face f : mesh::kAllFaces) {
+    auto& col = columns.offdiag[static_cast<usize>(f)];
+    col.resize(n);
+    for (usize z = 0; z < n; ++z) {
+      col[z] = stencil.offdiag[static_cast<usize>(f)](coord.x, coord.y,
+                                                      static_cast<i32>(z));
+    }
+  }
+  return columns;
+}
+
+void StencilColumns::apply_local(wse::PeApi& api, std::vector<f32>& v,
+                                 std::vector<f32>& q) {
+  using wse::Dsd;
+  api.fmuls(Dsd::of(q), Dsd::of(diag), Dsd::of(v));
+  const i32 nz = static_cast<i32>(v.size());
+  if (nz > 1) {
+    const i32 m = nz - 1;
+    const Dsd vd = Dsd::of(v);
+    const Dsd qd = Dsd::of(q);
+    // z+ term for cells 0..nz-2: q += C_z+ * v_{K+1}.
+    api.fmacs(
+        qd.window(0, m),
+        Dsd::of(offdiag[static_cast<usize>(mesh::Face::ZPlus)]).window(0, m),
+        vd.window(1, m), qd.window(0, m));
+    // z- term for cells 1..nz-1: q += C_z- * v_{K-1}.
+    api.fmacs(
+        qd.window(1, m),
+        Dsd::of(offdiag[static_cast<usize>(mesh::Face::ZMinus)]).window(1, m),
+        vd.window(0, m), qd.window(1, m));
+  }
+}
+
+void StencilColumns::apply_face(wse::PeApi& api, mesh::Face face,
+                                wse::Dsd v_nb, std::vector<f32>& q) {
+  using wse::Dsd;
+  api.fmacs(Dsd::of(q), Dsd::of(offdiag[static_cast<usize>(face)]), v_nb,
+            Dsd::of(q));
 }
 
 f64 LinearStencil::max_asymmetry() const {

@@ -15,10 +15,16 @@
 #pragma once
 
 #include <array>
+#include <vector>
 
 #include "common/array3d.hpp"
 #include "mesh/stencil.hpp"
 #include "physics/problem.hpp"
+#include "wse/dsd.hpp"
+
+namespace fvf::wse {
+class PeApi;
+}  // namespace fvf::wse
 
 namespace fvf::core {
 
@@ -38,6 +44,25 @@ struct LinearStencil {
   /// Symmetry defect max |offdiag(K,f) - offdiag(L,opp f)|; 0 for a
   /// valid operator.
   [[nodiscard]] f64 max_asymmetry() const;
+};
+
+/// One PE's copy of a LinearStencil — its diagonal and ten off-diagonal
+/// columns — and the matrix-free apply q = A v the CG and wave kernels
+/// share: apply_local before the halo round, apply_face per arriving
+/// neighbor column.
+struct StencilColumns {
+  std::vector<f32> diag;
+  std::array<std::vector<f32>, mesh::kFaceCount> offdiag;
+
+  /// Copies the columns of PE (coord) out of `stencil`.
+  [[nodiscard]] static StencilColumns of(const LinearStencil& stencil,
+                                         Coord2 coord);
+
+  /// q = diag .* v plus the two vertical couplings (local memory only).
+  void apply_local(wse::PeApi& api, std::vector<f32>& v, std::vector<f32>& q);
+  /// q += C_face .* v_nb for one neighbor column.
+  void apply_face(wse::PeApi& api, mesh::Face face, wse::Dsd v_nb,
+                  std::vector<f32>& q);
 };
 
 /// Builds the linearized operator from a flow problem.

@@ -8,7 +8,6 @@
 #include "common/assert.hpp"
 #include "core/launcher.hpp"
 #include "physics/residual.hpp"
-#include "spec/compile.hpp"
 #include "spec/launch.hpp"
 
 namespace fvf::core {
@@ -148,8 +147,8 @@ class TransportKernel final : public spec::StencilKernel {
     return spec::RoundOutcome{spec::RoundAction::Reduce, dt_local};
   }
 
-  [[nodiscard]] spec::RoundAction on_reduced(PeApi& api,
-                                             f32 global_dt) override {
+  [[nodiscard]] spec::RoundOutcome on_reduced(PeApi& api,
+                                              f32 global_dt) override {
     const f32 remaining =
         static_cast<f32>(options_.window_seconds - time_);
     f32 dt = std::min(global_dt, remaining);
@@ -167,9 +166,9 @@ class TransportKernel final : public spec::StencilKernel {
     ++substeps_;
     if (time_ >= options_.window_seconds * (1.0 - 1e-12) ||
         substeps_ >= options_.max_substeps) {
-      return spec::RoundAction::Done;
+      return spec::RoundOutcome{spec::RoundAction::Done, 0.0f};
     }
-    return spec::RoundAction::Continue;
+    return spec::RoundOutcome{spec::RoundAction::Continue, 0.0f};
   }
 
  private:
@@ -219,31 +218,6 @@ spec::StencilSpec make_transport_spec(const TransportKernelOptions&) {
   return s;
 }
 
-TransportPeProgram::TransportPeProgram(Coord2 coord, Coord2 fabric_size,
-                                       i32 nz, TransportKernelOptions options,
-                                       wse::AllReduceColors reduce_colors,
-                                       PeTransportData data,
-                                       HaloReliabilityOptions reliability)
-    : SpecPeProgram(coord, fabric_size, nz,
-                    spec::compile(make_transport_spec(options)),
-                    spec::SpecPeProgram::LaunchBindings{reduce_colors,
-                                                        reliability},
-                    std::make_unique<TransportKernel>(nz, options,
-                                                      std::move(data))),
-      physics_(static_cast<TransportKernel*>(kernel())) {}
-
-std::span<const f32> TransportPeProgram::saturation() const noexcept {
-  return physics_->saturation();
-}
-
-i32 TransportPeProgram::substeps() const noexcept {
-  return physics_->substeps();
-}
-
-f64 TransportPeProgram::advanced_seconds() const noexcept {
-  return physics_->advanced_seconds();
-}
-
 TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
                                       const Array3<f32>& saturation,
                                       const Array3<f32>& pressure,
@@ -254,35 +228,14 @@ TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
   FVF_REQUIRE(pressure.extents() == ext);
   FVF_REQUIRE(well_rate.extents() == ext);
 
-  HaloReliabilityOptions reliability = options.reliability;
-  if (options.execution.fault.bit_flip_rate > 0.0) {
-    // Dropped blocks break the implicit-FIFO halo protocol; the
-    // ack/retransmit layer is mandatory under such fault scenarios.
-    reliability.enabled = true;
-  }
-
-  // Compile the declarative spec and verify the lowered program: every
-  // compiled launch passes strict lint before the fabric runs (memoized
-  // per program shape, so replayed scenarios only pay it once).
-  const spec::CompiledSpec compiled =
-      spec::compile(make_transport_spec(options.kernel));
-  const Coord2 extents{ext.nx, ext.ny};
-  const HarnessOptions effective = spec::verified_options(
-      compiled, extents, ext.nz, options, reliability.enabled);
-
-  TransportLoad load;
-  load.harness = std::make_unique<FabricHarness>(extents, effective);
-  const spec::CompiledSpec::Claims claims =
-      compiled.claim_colors(load.harness->colors(), reliability.enabled);
-  FVF_REQUIRE(claims.reduce.has_value());
-  const wse::AllReduceColors reduce_colors = *claims.reduce;
-
   // Locals are captured by value: the probe factory the harness keeps
   // must stay valid after this function returns.
   const TransportKernelOptions kernel = options.kernel;
-  load.grid = load.harness->load<TransportPeProgram>(
-      [&problem, &saturation, &pressure, &well_rate, ext, kernel,
-       reduce_colors, reliability](Coord2 coord, Coord2 fabric_size) {
+  return spec::launch<TransportLoad>(
+      make_transport_spec(kernel), ext, options, options.reliability,
+      [&problem, &saturation, &pressure, &well_rate, ext, kernel](
+          Coord2 coord, Coord2 fabric_size,
+          const spec::LaunchBindings& bindings) {
         // Geometry via the shared column extractor, dynamic fields by hand.
         PeColumnData geometry = extract_column(problem, coord.x, coord.y);
         PeTransportData data;
@@ -302,12 +255,11 @@ TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
               well_rate(coord.x, coord.y, z);
         }
         return std::make_unique<TransportPeProgram>(
-            coord, fabric_size, ext.nz, kernel, reduce_colors,
-            std::move(data), reliability);
+            coord, fabric_size, ext.nz,
+            spec::compile(make_transport_spec(kernel)), bindings,
+            std::make_unique<TransportKernel>(ext.nz, kernel,
+                                              std::move(data)));
       });
-  spec::record_verified(compiled, extents, ext.nz, effective,
-                        reliability.enabled);
-  return load;
 }
 
 DataflowTransportResult run_dataflow_transport(
@@ -322,8 +274,10 @@ DataflowTransportResult run_dataflow_transport(
   static_cast<RunInfo&>(result) = load.harness->run();
   result.saturation = Array3<f32>(ext);
   load.grid.gather(result.saturation,
-                   [](const TransportPeProgram& p) { return p.saturation(); });
-  const TransportPeProgram& probe = load.grid.at(0, 0);
+                   [](const TransportPeProgram& p) {
+                     return p.physics().saturation();
+                   });
+  const TransportKernel& probe = load.grid.at(0, 0).physics();
   result.substeps = probe.substeps();
   result.advanced_seconds = probe.advanced_seconds();
   return result;

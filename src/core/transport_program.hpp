@@ -110,23 +110,10 @@ struct PeTransportData {
 
 class TransportKernel;
 
-/// The per-PE transport program. The dt min-reduce tree colors come from
-/// the launch pipeline's ColorPlan claim. A thin facade over the
-/// compiled-spec engine keeping the historical constructor and accessors.
-class TransportPeProgram final : public spec::SpecPeProgram {
- public:
-  TransportPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                     TransportKernelOptions options,
-                     wse::AllReduceColors reduce_colors, PeTransportData data,
-                     dataflow::HaloReliabilityOptions reliability = {});
-
-  [[nodiscard]] std::span<const f32> saturation() const noexcept;
-  [[nodiscard]] i32 substeps() const noexcept;
-  [[nodiscard]] f64 advanced_seconds() const noexcept;
-
- private:
-  TransportKernel* physics_;  ///< borrowed from the engine-owned kernel
-};
+/// The per-PE transport program: the compiled transport spec running its
+/// (file-local) kernel. The dt min-reduce tree colors come from the
+/// launch's claim.
+using TransportPeProgram = spec::KernelProgram<TransportKernel>;
 
 /// Launch options.
 struct DataflowTransportOptions : dataflow::HarnessOptions {

@@ -4,94 +4,91 @@
 #include <memory>
 
 #include "common/assert.hpp"
+#include "spec/launch.hpp"
 
 namespace fvf::core {
 
-using namespace dataflow;
-
 namespace {
 
+using spec::RoundAction;
+using spec::RoundOutcome;
 using wse::Dsd;
 using wse::PeApi;
 
 }  // namespace
 
-WavePeProgram::WavePeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                             WaveKernelOptions options, PeWaveData data,
-                             HaloReliabilityOptions reliability)
-    : IterativeKernelProgram(coord, fabric_size),
-      nz_(nz),
-      options_(options) {
-  FVF_REQUIRE(nz > 0);
-  FVF_REQUIRE(options.timesteps >= 1);
-  FVF_REQUIRE(static_cast<i32>(data.u0.size()) == nz);
-  FVF_REQUIRE(static_cast<i32>(data.u_prev.size()) == nz);
-  u_cur_ = std::move(data.u0);
-  u_prev_ = std::move(data.u_prev);
-  offdiag_ = std::move(data.offdiag);
-  diag_ = std::move(data.diag);
-  for (const auto& c : offdiag_) {
-    FVF_REQUIRE(static_cast<i32>(c.size()) == nz);
+/// The physics half of the wave program: q = A u over one halo round,
+/// then the leapfrog update and the time-level rotation.
+class WaveKernel final : public spec::StencilKernel {
+ public:
+  WaveKernel(i32 nz, WaveKernelOptions options, std::vector<f32> initial,
+             StencilColumns stencil)
+      : options_(options),
+        u_prev_(initial),  // a standing start: u^{-1} = u^0
+        u_cur_(std::move(initial)),
+        stencil_(std::move(stencil)) {
+    FVF_REQUIRE(nz > 0);
+    FVF_REQUIRE(options.timesteps >= 1);
+    FVF_REQUIRE(static_cast<i32>(u_cur_.size()) == nz);
+    FVF_REQUIRE(static_cast<i32>(stencil_.diag.size()) == nz);
+    q_.assign(static_cast<usize>(nz), 0.0f);
   }
-  FVF_REQUIRE(static_cast<i32>(diag_.size()) == nz);
 
-  const usize n = static_cast<usize>(nz);
-  q_.assign(n, 0.0f);
-  use_halo_exchange(nz, reliability);
-}
+  [[nodiscard]] std::span<const f32> field() const noexcept { return u_cur_; }
 
-void WavePeProgram::reserve_memory(wse::PeMemory& mem) {
-  const usize n = static_cast<usize>(nz_) * sizeof(f32);
-  mem.reserve(3 * n, "u_prev/u_cur/q");
-  mem.reserve((mesh::kFaceCount + 1) * n, "stencil columns");
-  mem.reserve(8 * n, "halo buffers");
-  mem.reserve(4096, "code+runtime");
-}
+  [[nodiscard]] std::span<const f32> begin_round(PeApi& api) override {
+    // q = diag .* u + vertical couplings (all local memory).
+    stencil_.apply_local(api, u_cur_, q_);
+    return u_cur_;
+  }
 
-void WavePeProgram::begin(PeApi& api) { start_step(api); }
+  void on_block(PeApi& api, mesh::Face face, Dsd u_nb) override {
+    stencil_.apply_face(api, face, u_nb, q_);
+  }
 
-void WavePeProgram::start_step(PeApi& api) {
-  // q = diag .* u + vertical couplings (all local memory).
-  api.fmuls(Dsd::of(q_), Dsd::of(diag_), Dsd::of(u_cur_));
-  if (nz_ > 1) {
-    const i32 m = nz_ - 1;
+  [[nodiscard]] RoundOutcome on_round_complete(PeApi& api) override {
+    // Leapfrog update: u_next = 2 u - u_prev - kappa q, written into the
+    // (dead) u_prev column, then rotate the time levels.
     const Dsd u = Dsd::of(u_cur_);
+    const Dsd prev = Dsd::of(u_prev_);
     const Dsd q = Dsd::of(q_);
-    api.fmacs(
-        q.window(0, m),
-        Dsd::of(offdiag_[static_cast<usize>(mesh::Face::ZPlus)]).window(0, m),
-        u.window(1, m), q.window(0, m));
-    api.fmacs(
-        q.window(1, m),
-        Dsd::of(offdiag_[static_cast<usize>(mesh::Face::ZMinus)]).window(1, m),
-        u.window(0, m), q.window(1, m));
+    api.fmuls(q, q, -options_.kappa);  // q <- -kappa (A u)
+    api.fnegs(prev, prev);             // prev <- -u_prev
+    api.fadds(prev, prev, q);          // prev <- -u_prev - kappa A u
+    api.fmacs(prev, u, 2.0f, prev);    // prev <- 2u - u_prev - kappa A u
+    std::swap(u_prev_, u_cur_);
+    ++step_;
+    return RoundOutcome{step_ == options_.timesteps ? RoundAction::Done
+                                                    : RoundAction::Continue,
+                        0.0f};
   }
 
-  exchange().begin_round(api, u_cur_);
-}
+ private:
+  WaveKernelOptions options_;
+  std::vector<f32> u_prev_;
+  std::vector<f32> u_cur_;
+  std::vector<f32> q_;  ///< A u^t accumulator
+  StencilColumns stencil_;
+  i32 step_ = 0;
+};
 
-void WavePeProgram::on_halo_block(PeApi& api, mesh::Face face, Dsd u_nb) {
-  api.fmacs(Dsd::of(q_), Dsd::of(offdiag_[static_cast<usize>(face)]), u_nb,
-            Dsd::of(q_));
-}
-
-void WavePeProgram::on_halo_complete(PeApi& api) {
-  // Leapfrog update: u_next = 2 u - u_prev - kappa q, written into the
-  // (dead) u_prev column, then rotate the time levels.
-  const Dsd u = Dsd::of(u_cur_);
-  const Dsd prev = Dsd::of(u_prev_);
-  const Dsd q = Dsd::of(q_);
-  api.fmuls(q, q, -options_.kappa);  // q <- -kappa (A u)
-  api.fnegs(prev, prev);             // prev <- -u_prev
-  api.fadds(prev, prev, q);          // prev <- -u_prev - kappa A u
-  api.fmacs(prev, u, 2.0f, prev);    // prev <- 2u - u_prev - kappa A u
-  std::swap(u_prev_, u_cur_);
-  ++step_;
-  if (step_ == options_.timesteps) {
-    api.signal_done();
-    return;
-  }
-  start_step(api);
+spec::StencilSpec make_wave_spec(const WaveKernelOptions&) {
+  spec::StencilSpec s;
+  s.name = "wave";
+  s.exchange = spec::ExchangeKind::StaticHalo;
+  s.shape = spec::StencilShape::NinePoint;
+  s.block_words_per_cell = 1;  // [u]
+  s.claims.cardinal = "wave halo exchange";
+  s.claims.diagonal = "wave halo diagonal forwards";
+  s.claims.nack = "wave halo retransmit";
+  s.fields = {
+      {"u_prev/u_cur/q", spec::FieldRole::State, 3, 0},
+      {"stencil columns", spec::FieldRole::State,
+       static_cast<i32>(mesh::kFaceCount) + 1, 0},
+      {"halo buffers", spec::FieldRole::HaloRecv, 8, 0},
+      {"code+runtime", spec::FieldRole::Code, 0, 4096},
+  };
+  return s;
 }
 
 WaveLoad load_dataflow_wave(const LinearStencil& stencil,
@@ -100,50 +97,23 @@ WaveLoad load_dataflow_wave(const LinearStencil& stencil,
   const Extents3 ext = stencil.extents;
   FVF_REQUIRE(initial.extents() == ext);
 
-  HaloReliabilityOptions reliability = options.reliability;
-  if (options.execution.fault.bit_flip_rate > 0.0) {
-    // Dropped blocks break the implicit-FIFO halo protocol; the
-    // ack/retransmit layer is mandatory under such fault scenarios.
-    reliability.enabled = true;
-  }
-
-  WaveLoad load;
-  load.harness =
-      std::make_unique<FabricHarness>(Coord2{ext.nx, ext.ny}, options);
-  load.harness->colors().claim_cardinal("wave halo exchange");
-  load.harness->colors().claim_diagonal("wave halo diagonal forwards");
-  if (reliability.enabled) {
-    load.harness->colors().claim_nack("wave halo retransmit");
-  }
-
   // Locals are captured by value: the probe factory the harness keeps
   // must stay valid after this function returns.
   const WaveKernelOptions kernel = options.kernel;
-  load.grid = load.harness->load<WavePeProgram>(
-      [&stencil, &initial, ext, kernel,
-       reliability](Coord2 coord, Coord2 fabric_size) {
-        PeWaveData data;
-        data.u0.resize(static_cast<usize>(ext.nz));
-        data.u_prev.resize(static_cast<usize>(ext.nz));
-        data.diag.resize(static_cast<usize>(ext.nz));
+  return spec::launch<WaveLoad>(
+      make_wave_spec(kernel), ext, options, options.reliability,
+      [&stencil, &initial, ext, kernel](Coord2 coord, Coord2 fabric_size,
+                                        const spec::LaunchBindings& bindings) {
+        std::vector<f32> u0(static_cast<usize>(ext.nz));
         for (i32 z = 0; z < ext.nz; ++z) {
-          data.u0[static_cast<usize>(z)] = initial(coord.x, coord.y, z);
-          data.u_prev[static_cast<usize>(z)] = initial(coord.x, coord.y, z);
-          data.diag[static_cast<usize>(z)] = stencil.diag(coord.x, coord.y, z);
+          u0[static_cast<usize>(z)] = initial(coord.x, coord.y, z);
         }
-        for (const mesh::Face f : mesh::kAllFaces) {
-          auto& col = data.offdiag[static_cast<usize>(f)];
-          col.resize(static_cast<usize>(ext.nz));
-          for (i32 z = 0; z < ext.nz; ++z) {
-            col[static_cast<usize>(z)] =
-                stencil.offdiag[static_cast<usize>(f)](coord.x, coord.y, z);
-          }
-        }
-        return std::make_unique<WavePeProgram>(coord, fabric_size, ext.nz,
-                                               kernel, std::move(data),
-                                               reliability);
+        return std::make_unique<WavePeProgram>(
+            coord, fabric_size, ext.nz, spec::compile(make_wave_spec(kernel)),
+            bindings,
+            std::make_unique<WaveKernel>(ext.nz, kernel, std::move(u0),
+                                         StencilColumns::of(stencil, coord)));
       });
-  return load;
 }
 
 DataflowWaveResult run_dataflow_wave(const LinearStencil& stencil,
@@ -153,10 +123,11 @@ DataflowWaveResult run_dataflow_wave(const LinearStencil& stencil,
   const WaveLoad load = load_dataflow_wave(stencil, initial, options);
 
   DataflowWaveResult result;
-  static_cast<RunInfo&>(result) = load.harness->run();
+  static_cast<dataflow::RunInfo&>(result) = load.harness->run();
   result.field = Array3<f32>(ext);
-  load.grid.gather(result.field,
-                   [](const WavePeProgram& p) { return p.field(); });
+  load.grid.gather(result.field, [](const WavePeProgram& p) {
+    return p.physics().field();
+  });
   return result;
 }
 

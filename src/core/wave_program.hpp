@@ -12,18 +12,18 @@
 ///   u^{t+1} = 2 u^t - u^{t-1} - kappa * (A u^t)
 ///
 /// whose spatial operator A is any 11-point LinearStencil (including the
-/// four X-Y diagonal couplings), applied each step through the same
-/// cardinal + diagonal halo exchange as the TPFA flux kernel.
+/// four X-Y diagonal couplings), applied each step through a ten-neighbor
+/// static halo exchange as a compiled `fvf::spec` program
+/// (`make_wave_spec`).
 #pragma once
 
-#include <array>
 #include <memory>
 #include <vector>
 
 #include "common/array3d.hpp"
 #include "core/linear_stencil.hpp"
 #include "dataflow/fabric_harness.hpp"
-#include "dataflow/iterative_kernel.hpp"
+#include "spec/program.hpp"
 
 namespace fvf::core {
 
@@ -33,49 +33,24 @@ struct WaveKernelOptions {
   f32 kappa = 1.0f;  ///< dt^2 c^2 scaling of the spatial operator
 };
 
-/// Per-PE column data for the wave program.
-struct PeWaveData {
-  std::vector<f32> u0;       ///< initial field, length Nz
-  std::vector<f32> u_prev;   ///< field at t-1 (u0 for a standing start)
-  std::array<std::vector<f32>, mesh::kFaceCount> offdiag;
-  std::vector<f32> diag;
-};
+/// The declarative description of the wave program: the [u] static-halo
+/// exchange (no reduction) and the complete ordered per-PE memory layout.
+/// The leapfrog arrives as the (file-local) WaveKernel, whose u_prev /
+/// u_cur swap is kernel state.
+[[nodiscard]] spec::StencilSpec make_wave_spec(
+    const WaveKernelOptions& options);
 
-/// The per-PE leapfrog program.
-class WavePeProgram final : public dataflow::IterativeKernelProgram {
- public:
-  WavePeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                WaveKernelOptions options, PeWaveData data,
-                dataflow::HaloReliabilityOptions reliability = {});
+class WaveKernel;
 
-  [[nodiscard]] std::span<const f32> field() const noexcept { return u_cur_; }
-  [[nodiscard]] i32 completed_steps() const noexcept { return step_; }
-
- private:
-  // IterativeKernelProgram phase hooks.
-  void reserve_memory(wse::PeMemory& mem) override;
-  void begin(wse::PeApi& api) override;
-  void on_halo_block(wse::PeApi& api, mesh::Face face, wse::Dsd u_nb) override;
-  void on_halo_complete(wse::PeApi& api) override;
-
-  void start_step(wse::PeApi& api);
-
-  i32 nz_;
-  WaveKernelOptions options_;
-
-  std::vector<f32> u_prev_;
-  std::vector<f32> u_cur_;
-  std::vector<f32> q_;  ///< A u^t accumulator
-  std::array<std::vector<f32>, mesh::kFaceCount> offdiag_;
-  std::vector<f32> diag_;
-  i32 step_ = 0;
-};
+/// The per-PE leapfrog program: the compiled wave spec running its
+/// (file-local) kernel.
+using WavePeProgram = spec::KernelProgram<WaveKernel>;
 
 /// Launch options.
 struct DataflowWaveOptions : dataflow::HarnessOptions {
   WaveKernelOptions kernel{};
-  /// Halo ack/retransmit layer. Auto-enabled by run_dataflow_wave when
-  /// the fault scenario can drop blocks (bit_flip_rate > 0).
+  /// Halo ack/retransmit layer. Auto-enabled by the launch (spec::launch)
+  /// when the fault scenario can drop blocks (bit_flip_rate > 0).
   dataflow::HaloReliabilityOptions reliability{};
 };
 

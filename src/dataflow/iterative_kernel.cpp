@@ -168,11 +168,6 @@ std::vector<wse::SendDeclaration> IterativeKernelProgram::send_declarations()
   return sends;
 }
 
-std::vector<wse::SendDeclaration>
-IterativeKernelProgram::program_send_declarations() const {
-  return {};
-}
-
 std::vector<wse::ChannelDependency>
 IterativeKernelProgram::channel_dependencies() const {
   std::vector<wse::ChannelDependency> deps = program_channel_dependencies();
@@ -203,24 +198,10 @@ IterativeKernelProgram::channel_dependencies() const {
 
 std::vector<wse::ReductionDeclaration>
 IterativeKernelProgram::reduction_declarations() const {
-  std::vector<wse::ReductionDeclaration> reductions =
-      program_reduction_declarations();
-  if (allreduce_.has_value()) {
-    const std::vector<wse::ReductionDeclaration> ar =
-        allreduce_->reduction_declarations();
-    reductions.insert(reductions.end(), ar.begin(), ar.end());
+  if (!allreduce_.has_value()) {
+    return {};
   }
-  return reductions;
-}
-
-std::vector<wse::ChannelDependency>
-IterativeKernelProgram::program_channel_dependencies() const {
-  return {};
-}
-
-std::vector<wse::ReductionDeclaration>
-IterativeKernelProgram::program_reduction_declarations() const {
-  return {};
+  return allreduce_->reduction_declarations();
 }
 
 void IterativeKernelProgram::on_timer(wse::PeApi& api, u32 tag) {
@@ -228,20 +209,5 @@ void IterativeKernelProgram::on_timer(wse::PeApi& api, u32 tag) {
                   "timer fired on a program without a halo exchange");
   exchange_->on_timer(api, tag);
 }
-
-void IterativeKernelProgram::on_halo_block(wse::PeApi&, mesh::Face,
-                                           wse::Dsd) {
-  FVF_REQUIRE_MSG(false,
-                  "program attached a halo exchange but overrides neither "
-                  "on_halo_block nor the block handler");
-}
-
-void IterativeKernelProgram::on_halo_complete(wse::PeApi&) {
-  FVF_REQUIRE_MSG(false,
-                  "program attached a halo exchange but does not override "
-                  "on_halo_complete");
-}
-
-void IterativeKernelProgram::configure_routes(wse::Router&) {}
 
 }  // namespace fvf::dataflow

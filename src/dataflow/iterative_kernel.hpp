@@ -1,10 +1,11 @@
 /// \file iterative_kernel.hpp
-/// \brief Layer 3 of the fvf::dataflow runtime: the shared per-PE phase
-///        machine every dataflow program iterates through.
+/// \brief Layer 3 of the fvf::dataflow runtime: the per-PE phase machine
+///        under the one generated program, `spec::SpecPeProgram`.
 ///
-/// All five programs (TPFA, CG, transport, wave, IMPES' two kernels)
-/// follow the same shape: reserve PE memory, begin a phase, exchange halo
-/// columns with the ten XY neighbors, do local compute as blocks arrive,
+/// Every fabric kernel (TPFA, CG, transport, wave, heat; IMPES runs CG
+/// and transport launches) is a compiled spec, and SpecPeProgram is the
+/// only subclass: reserve PE memory, begin a phase, exchange halo columns
+/// with the ten XY neighbors, do local compute as blocks arrive,
 /// optionally agree on a global scalar via AllReduce, then advance or
 /// finish. IterativeKernelProgram owns the wse::PeProgram entry points
 /// and performs declarative per-color dispatch:
@@ -16,12 +17,9 @@
 ///   - an attached wse::AllReduceSum (use_allreduce) receives its four
 ///     tree colors;
 ///   - explicitly bound colors (bind_data / bind_control) go to their
-///     handlers — this is how the TPFA program keeps its Figure 6
-///     switch-protocol exchange verbatim while still living on the
-///     runtime;
+///     handlers — this is how the switch-protocol lowering keeps TPFA's
+///     Figure 6 exchange verbatim while still living on the runtime;
 ///   - anything else raises a contract violation naming the color.
-///
-/// Derived programs implement physics + phase hooks only.
 #pragma once
 
 #include <array>
@@ -74,8 +72,7 @@ class IterativeKernelProgram : public wse::PeProgram {
   [[nodiscard]] std::vector<wse::ChannelDependency> channel_dependencies()
       const final;
 
-  /// Arrival-order folds of the attached AllReduce plus the derived
-  /// program's own program_reduction_declarations().
+  /// Arrival-order folds of the attached AllReduce.
   [[nodiscard]] std::vector<wse::ReductionDeclaration>
   reduction_declarations() const final;
 
@@ -126,27 +123,23 @@ class IterativeKernelProgram : public wse::PeProgram {
   /// declaration against the byte budget without executing anything).
   virtual void begin(wse::PeApi& api) = 0;
   /// Sends performed by the derived program itself on its bound colors
-  /// (the component sends are declared automatically). Override alongside
-  /// bind_data / bind_control so fvf::lint can trace the traffic.
+  /// (the component sends are declared automatically), so fvf::lint can
+  /// trace the traffic.
   [[nodiscard]] virtual std::vector<wse::SendDeclaration>
-  program_send_declarations() const;
+  program_send_declarations() const = 0;
   /// Blocking intra-round orderings among the program's own bound colors
   /// (see wse::ChannelDependency), for the cross-color deadlock analysis.
   [[nodiscard]] virtual std::vector<wse::ChannelDependency>
-  program_channel_dependencies() const;
-  /// Arrival-order f32 folds the program performs over its bound colors
-  /// (see wse::ReductionDeclaration), for the determinism analysis.
-  [[nodiscard]] virtual std::vector<wse::ReductionDeclaration>
-  program_reduction_declarations() const;
+  program_channel_dependencies() const = 0;
   /// One halo block of the current round arrived (use_halo_exchange).
   /// The view stays valid until the next begin_round.
   virtual void on_halo_block(wse::PeApi& api, mesh::Face face,
-                             wse::Dsd block);
+                             wse::Dsd block) = 0;
   /// All expected halo blocks of the round were processed.
-  virtual void on_halo_complete(wse::PeApi& api);
+  virtual void on_halo_complete(wse::PeApi& api) = 0;
   /// Installs routes for program-owned colors (bound via bind_data /
   /// bind_control); attached components install their own routes first.
-  virtual void configure_routes(wse::Router& router);
+  virtual void configure_routes(wse::Router& router) = 0;
 
  private:
   Coord2 coord_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "spec/compile.hpp"
 #include "spec/launch.hpp"
 
 namespace fvf::spec {
@@ -114,60 +113,22 @@ StencilSpec make_heat_spec(const HeatKernelOptions&) {
   return s;
 }
 
-HeatPeProgram::HeatPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                             HeatKernelOptions options,
-                             std::vector<f32> column,
-                             dataflow::HaloReliabilityOptions reliability)
-    : SpecPeProgram(coord, fabric_size, nz, compile(make_heat_spec(options)),
-                    SpecPeProgram::LaunchBindings{{}, reliability},
-                    std::make_unique<HeatKernel>(nz, options,
-                                                 std::move(column))),
-      physics_(static_cast<HeatKernel*>(kernel())) {}
-
-std::span<const f32> HeatPeProgram::field() const noexcept {
-  return physics_->field();
-}
-
-i32 HeatPeProgram::steps_completed() const noexcept {
-  return physics_->steps_completed();
-}
-
 HeatLoad load_dataflow_heat(const Array3<f32>& field,
                             const DataflowHeatOptions& options) {
-  const Extents3 ext = field.extents();
-
-  dataflow::HaloReliabilityOptions reliability = options.reliability;
-  if (options.execution.fault.bit_flip_rate > 0.0) {
-    // Dropped blocks break the implicit-FIFO halo protocol; the
-    // ack/retransmit layer is mandatory under such fault scenarios.
-    reliability.enabled = true;
-  }
-
-  // Compile the declarative spec and verify the lowered program (strict
-  // lint, memoized per program shape).
-  const CompiledSpec compiled = compile(make_heat_spec(options.kernel));
-  const Coord2 extents{ext.nx, ext.ny};
-  const dataflow::HarnessOptions effective = verified_options(
-      compiled, extents, ext.nz, options, reliability.enabled);
-
-  HeatLoad load;
-  load.harness =
-      std::make_unique<dataflow::FabricHarness>(extents, effective);
-  compiled.claim_colors(load.harness->colors(), reliability.enabled);
-
   const HeatKernelOptions kernel = options.kernel;
-  load.grid = load.harness->load<HeatPeProgram>(
-      [&field, ext, kernel, reliability](Coord2 coord, Coord2 fabric_size) {
-        std::vector<f32> column(static_cast<usize>(ext.nz));
-        for (i32 z = 0; z < ext.nz; ++z) {
+  return launch<HeatLoad>(
+      make_heat_spec(kernel), field.extents(), options, options.reliability,
+      [&field, kernel](Coord2 coord, Coord2 fabric_size,
+                       const LaunchBindings& bindings) {
+        const i32 nz = field.extents().nz;
+        std::vector<f32> column(static_cast<usize>(nz));
+        for (i32 z = 0; z < nz; ++z) {
           column[static_cast<usize>(z)] = field(coord.x, coord.y, z);
         }
-        return std::make_unique<HeatPeProgram>(coord, fabric_size, ext.nz,
-                                               kernel, std::move(column),
-                                               reliability);
+        return std::make_unique<HeatPeProgram>(
+            coord, fabric_size, nz, compile(make_heat_spec(kernel)), bindings,
+            std::make_unique<HeatKernel>(nz, kernel, std::move(column)));
       });
-  record_verified(compiled, extents, ext.nz, effective, reliability.enabled);
-  return load;
 }
 
 DataflowHeatResult run_dataflow_heat(const Array3<f32>& field,
@@ -179,8 +140,8 @@ DataflowHeatResult run_dataflow_heat(const Array3<f32>& field,
   static_cast<dataflow::RunInfo&>(result) = load.harness->run();
   result.field = Array3<f32>(ext);
   load.grid.gather(result.field,
-                   [](const HeatPeProgram& p) { return p.field(); });
-  result.steps_completed = load.grid.at(0, 0).steps_completed();
+                   [](const HeatPeProgram& p) { return p.physics().field(); });
+  result.steps_completed = load.grid.at(0, 0).physics().steps_completed();
   return result;
 }
 

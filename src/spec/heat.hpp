@@ -49,20 +49,9 @@ inline constexpr f32 kHeatDiagonalWeight = 1.0f / 6.0f;
 
 class HeatKernel;
 
-/// The per-PE heat program: a thin facade over the compiled-spec engine.
-class HeatPeProgram final : public SpecPeProgram {
- public:
-  HeatPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                HeatKernelOptions options, std::vector<f32> column,
-                dataflow::HaloReliabilityOptions reliability = {});
-
-  /// The u column after the final completed step.
-  [[nodiscard]] std::span<const f32> field() const noexcept;
-  [[nodiscard]] i32 steps_completed() const noexcept;
-
- private:
-  HeatKernel* physics_;  ///< borrowed from the engine-owned kernel
-};
+/// The per-PE heat program: the compiled heat spec running its
+/// (file-local) kernel.
+using HeatPeProgram = KernelProgram<HeatKernel>;
 
 /// Launch options.
 struct DataflowHeatOptions : dataflow::HarnessOptions {

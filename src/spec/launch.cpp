@@ -33,8 +33,9 @@ std::unordered_set<u64>& memo() {
   return passes;
 }
 
-}  // namespace
-
+/// `base` with lint raised to Strict unless this exact program shape
+/// already passed strict lint in this process (a stricter base level is
+/// never lowered).
 dataflow::HarnessOptions verified_options(const CompiledSpec& compiled,
                                           Coord2 extents, i32 nz,
                                           const dataflow::HarnessOptions& base,
@@ -52,6 +53,7 @@ dataflow::HarnessOptions verified_options(const CompiledSpec& compiled,
   return options;
 }
 
+/// Records a successful strict-lint pass for the shape.
 void record_verified(const CompiledSpec& compiled, Coord2 extents, i32 nz,
                      const dataflow::HarnessOptions& effective,
                      bool reliability_enabled) {
@@ -62,6 +64,34 @@ void record_verified(const CompiledSpec& compiled, Coord2 extents, i32 nz,
       shape_key(compiled, extents, nz, effective, reliability_enabled);
   const std::lock_guard<std::mutex> lock(memo_mutex());
   memo().insert(key);
+}
+
+}  // namespace
+
+std::unique_ptr<dataflow::FabricHarness> launch_harness(
+    StencilSpec spec, Extents3 extents, const dataflow::HarnessOptions& options,
+    dataflow::HaloReliabilityOptions reliability, const LoadFn& load) {
+  if (spec.exchange != ExchangeKind::StaticHalo) {
+    reliability.enabled = false;
+  } else if (options.execution.fault.bit_flip_rate > 0.0) {
+    // Bit flips make the fabric drop corrupted blocks; the implicit-FIFO
+    // halo protocol cannot survive a drop, so the ack/retransmit layer
+    // is mandatory for such scenarios.
+    reliability.enabled = true;
+  }
+
+  const CompiledSpec compiled = compile(std::move(spec));
+  const Coord2 fabric{extents.nx, extents.ny};
+  const dataflow::HarnessOptions effective = verified_options(
+      compiled, fabric, extents.nz, options, reliability.enabled);
+
+  auto harness = std::make_unique<dataflow::FabricHarness>(fabric, effective);
+  const CompiledSpec::Claims claims =
+      compiled.claim_colors(harness->colors(), reliability.enabled);
+  load(*harness, LaunchBindings{claims.reduce, reliability});
+  record_verified(compiled, fabric, extents.nz, effective,
+                  reliability.enabled);
+  return harness;
 }
 
 }  // namespace fvf::spec

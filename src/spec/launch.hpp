@@ -1,38 +1,63 @@
 /// \file launch.hpp
-/// \brief The mandatory verification gate for compiled programs.
+/// \brief The one launch path for compiled programs: every
+///        `load_dataflow_*` goes through `spec::launch`.
 ///
-/// Every spec-compiled launch must pass `fvf::lint` in strict mode
-/// before the FabricHarness hands the fabric to the event engine. The
-/// harness runs the linter during load, but its lint level is fixed at
-/// construction — so the launchers ask `verified_options` for the
-/// effective HarnessOptions *before* constructing the harness, and call
-/// `record_verified` once the load (and therefore the strict lint pass)
-/// succeeded.
+/// A launch (1) turns halo reliability on when bit flips can drop blocks,
+/// which the implicit-FIFO static-halo protocol cannot survive; (2)
+/// compiles the spec; (3) raises lint to Strict unless this program shape
+/// already passed strict lint in this process; (4) builds the
+/// FabricHarness; (5) claims the spec's colors; (6) loads one program per
+/// PE through the caller's factory; and (7) records the strict pass.
 ///
-/// To keep repeated launches cheap (the scenario service replays the
-/// same shapes thousands of times), passes are memoized process-wide by
-/// the spec's structural digest + fabric extents + column depth + memory
-/// budget + reliability: two launches with equal keys lower to identical
-/// colors, routes, handlers, and memory reservations, so one strict pass
-/// proves both.
+/// Passes are memoized by the spec's structural digest + fabric extents +
+/// column depth + memory budget + reliability: two launches with equal
+/// keys lower to identical colors, routes, handlers, and memory
+/// reservations, so one strict pass proves both. The memo is private to
+/// launch.cpp, so no launcher can skip the gate.
 #pragma once
 
-#include "dataflow/run_info.hpp"
-#include "spec/compile.hpp"
+#include <functional>
+#include <memory>
+#include <type_traits>
+#include <utility>
+
+#include "dataflow/fabric_harness.hpp"
+#include "spec/program.hpp"
 
 namespace fvf::spec {
 
-/// `base` with lint raised to Strict unless this exact program shape
-/// already passed strict lint in this process (a stricter base level is
-/// never lowered).
-[[nodiscard]] dataflow::HarnessOptions verified_options(
-    const CompiledSpec& compiled, Coord2 extents, i32 nz,
-    const dataflow::HarnessOptions& base, bool reliability_enabled);
+/// Loads the programs onto the harness; called once with the bindings
+/// the launch claimed.
+using LoadFn =
+    std::function<void(dataflow::FabricHarness&, const LaunchBindings&)>;
 
-/// Records a successful strict-lint pass for the shape. Call after the
-/// harness load succeeded with options returned by verified_options.
-void record_verified(const CompiledSpec& compiled, Coord2 extents, i32 nz,
-                     const dataflow::HarnessOptions& effective,
-                     bool reliability_enabled);
+/// Steps 1-7 above. `reliability` applies to static-halo specs only.
+/// Returns the loaded, not yet run, harness.
+[[nodiscard]] std::unique_ptr<dataflow::FabricHarness> launch_harness(
+    StencilSpec spec, Extents3 extents, const dataflow::HarnessOptions& options,
+    dataflow::HaloReliabilityOptions reliability, const LoadFn& load);
+
+/// Typed front end of launch_harness. `make(coord, fabric_size, bindings)`
+/// returns the per-PE program; it is kept as the lint probe factory, so it
+/// must be copyable and capture nothing that dies with the caller's frame.
+/// `Load` is a `{harness, grid}` aggregate (TpfaLoad, CgLoad, ...).
+template <typename Load, typename MakeFn>
+[[nodiscard]] Load launch(StencilSpec spec, Extents3 extents,
+                          const dataflow::HarnessOptions& options,
+                          dataflow::HaloReliabilityOptions reliability,
+                          MakeFn make) {
+  using Program = typename std::invoke_result_t<
+      MakeFn, Coord2, Coord2, const LaunchBindings&>::element_type;
+  Load load;
+  load.harness = launch_harness(
+      std::move(spec), extents, options, reliability,
+      [&](dataflow::FabricHarness& harness, const LaunchBindings& bindings) {
+        load.grid = harness.load<Program>(
+            [make, bindings](Coord2 coord, Coord2 fabric_size) {
+              return make(coord, fabric_size, bindings);
+            });
+      });
+  return load;
+}
 
 }  // namespace fvf::spec

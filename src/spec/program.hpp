@@ -9,12 +9,13 @@
 /// control-triggered phase-2 sends, and the completion gating on the
 /// send obligation) — the golden traces prove the lowering is faithful.
 /// The StaticHalo mode drives the shared HaloExchange component plus the
-/// optional reduction tree, mirroring the transport program's event
-/// order exactly.
+/// optional reduction tree through the kernel's start / round / reduced
+/// hooks (see StencilKernel).
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "dataflow/iterative_kernel.hpp"
 #include "spec/compile.hpp"
@@ -38,6 +39,7 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
   [[nodiscard]] const CompiledSpec& compiled() const noexcept {
     return compiled_;
   }
+  /// Rounds completed so far (every exchange kind).
   [[nodiscard]] i32 completed_rounds() const noexcept { return round_; }
 
   /// One-line diagnostic of the engine's communication state (per-color
@@ -98,7 +100,7 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
 
   // Static-halo machinery (HaloExchange + reduction driver).
   void start_round(wse::PeApi& api);
-  void apply_action(wse::PeApi& api, RoundAction action);
+  void apply_outcome(wse::PeApi& api, RoundOutcome outcome);
 
   [[nodiscard]] StencilKernel& require_kernel() const;
 
@@ -121,6 +123,26 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
   i32 expected_diags_ = 0;
   std::array<CardinalState, 4> card_;
   std::array<DiagonalState, 4> diag_;
+};
+
+using LaunchBindings = SpecPeProgram::LaunchBindings;
+
+/// The generated program running a kernel of known type, so the launcher
+/// can read the kernel's results after the run. Kernel types stay
+/// file-local: headers name `KernelProgram<XKernel>` with XKernel
+/// forward-declared.
+template <typename Kernel>
+class KernelProgram final : public SpecPeProgram {
+ public:
+  KernelProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
+                CompiledSpec compiled, LaunchBindings bindings,
+                std::unique_ptr<Kernel> kernel)
+      : SpecPeProgram(coord, fabric_size, nz, std::move(compiled), bindings,
+                      std::move(kernel)) {}
+
+  [[nodiscard]] const Kernel& physics() const noexcept {
+    return static_cast<const Kernel&>(*this->kernel());
+  }
 };
 
 }  // namespace fvf::spec

@@ -1,6 +1,6 @@
 /// \file registry.hpp
 /// \brief The kernel registry — the process-wide inventory of launchable
-///        fabric programs, compiled-spec and legacy alike.
+///        fabric programs: the compiled specs plus the IMPES driver.
 ///
 /// Tools (`fvf_spec`, `fvf_lint`, harness CLIs) resolve `--program`
 /// against this registry instead of hard-coding name lists, so an
@@ -23,12 +23,10 @@ namespace fvf::spec {
 /// One launchable program, by canonical CLI name.
 struct KernelInfo {
   std::string name;
-  /// True when the program lowers through `spec::compile` (its plan can
-  /// be dumped and linted from the spec alone); false for the legacy
-  /// hand-written path (CG, wave, IMPES).
-  bool compiled = false;
   std::string summary;
-  /// Builds the default-options CompiledSpec. Null for legacy kernels.
+  /// Builds the default-options CompiledSpec, so the plan can be dumped
+  /// and linted from the spec alone. Null for a driver that runs other
+  /// kernels' launches and has no single spec (IMPES).
   std::function<CompiledSpec()> compile_spec;
 };
 

@@ -1,15 +1,17 @@
 /// \file stencil_spec.hpp
 /// \brief `fvf::spec` — the declarative stencil-program DSL.
 ///
-/// A StencilSpec captures everything a fabric program used to hand-write:
-/// the stencil shape (5-point cardinal or 9-point with diagonal corners),
-/// the halo-exchange machinery (the Figure 6 two-step switch protocol or
-/// the shared HaloExchange component), the complete ordered per-PE memory
-/// layout, the color-plan claim labels, and an optional fabric-wide
-/// reduction. `spec::compile` validates the spec and lowers it to a
-/// CompiledSpec; `spec::SpecPeProgram` is the generated
+/// A StencilSpec captures everything a fabric program needs beyond its
+/// arithmetic: the stencil shape (5-point cardinal or 9-point with
+/// diagonal corners), the halo-exchange machinery (the Figure 6 two-step
+/// switch protocol or the shared HaloExchange component), the complete
+/// ordered per-PE memory layout, the color-plan claim labels, and an
+/// optional fabric-wide reduction. `spec::compile` validates the spec and
+/// lowers it to a CompiledSpec; `spec::SpecPeProgram` is the generated
 /// `dataflow::IterativeKernelProgram` that executes it, invoking a
-/// StencilKernel for the physics only.
+/// StencilKernel for the physics only. Every shipped fabric kernel (tpfa,
+/// cg, transport, wave, heat) is such a spec; IMPES is a host driver over
+/// cg and transport launches.
 ///
 /// The split is deliberate: everything that fvf::lint can verify
 /// statically (colors, routes, sends, handlers, memory) is produced by
@@ -85,8 +87,9 @@ struct ClaimLabels {
   std::string nack;
 };
 
-/// A fabric-wide reduction the kernel triggers at round completion
-/// (StaticHalo only; the transport dt MIN-tree is the canonical use).
+/// A fabric-wide reduction a StaticHalo kernel may request from any hook
+/// that returns a RoundOutcome (the transport dt MIN-tree and the CG
+/// dot-product SUM-tree are the shipped uses).
 struct ReductionSpec {
   wse::ReduceOp op = wse::ReduceOp::Min;
   i32 length = 1;
@@ -126,11 +129,12 @@ struct StencilSpec {
   DefectInjection defects;
 };
 
-/// What a StaticHalo kernel wants after a completed round.
+/// What a StaticHalo kernel wants next.
 enum class RoundAction : u8 {
   Continue,  ///< start the next exchange round
   Done,      ///< signal completion to the runtime
-  Reduce,    ///< contribute to the fabric-wide reduction first
+  Reduce,    ///< contribute to the fabric-wide reduction; on_reduced
+             ///< receives the result and decides again
 };
 
 struct RoundOutcome {
@@ -178,14 +182,23 @@ class StencilKernel {
   virtual void finalize_round(wse::PeApi& api, const FaceBlocks& blocks);
 
   // --- StaticHalo hooks -------------------------------------------------
+  // The engine drives a small state machine: start() decides first; every
+  // Continue runs begin_round, one on_block per arriving block, then
+  // on_round_complete; every Reduce contributes to the spec's reduction
+  // and hands the fabric-wide result to on_reduced. Because on_reduced
+  // returns a RoundOutcome too, reductions chain (CG's alpha then beta
+  // step). Reduce on a spec without a `reduction` fails naming the spec.
+  /// Once, before round 0. The default begins round 0; a kernel that
+  /// needs a global scalar first (CG's initial residual) returns Reduce.
+  [[nodiscard]] virtual RoundOutcome start(wse::PeApi& api);
   /// Stage and return the outgoing halo block for the next round.
   [[nodiscard]] virtual std::span<const f32> begin_round(wse::PeApi& api);
   /// One halo block arrived; the view stays valid until the next round.
   virtual void on_block(wse::PeApi& api, mesh::Face face, wse::Dsd block);
   /// Every expected block arrived: run the round's arithmetic.
   [[nodiscard]] virtual RoundOutcome on_round_complete(wse::PeApi& api);
-  /// The reduction completed with `value`; decide Continue or Done.
-  [[nodiscard]] virtual RoundAction on_reduced(wse::PeApi& api, f32 value);
+  /// The reduction completed with `value`: Continue, Done, or Reduce again.
+  [[nodiscard]] virtual RoundOutcome on_reduced(wse::PeApi& api, f32 value);
 };
 
 }  // namespace fvf::spec

@@ -1,8 +1,9 @@
 // Tests of the fvf::spec layer: compile-time validation and error
 // wording, structural digests, the footprint parity between the facade
 // accounting and the compiled spec, bit-identity of the migrated
-// programs across event-engine thread counts, the heat kernel's
-// serial-oracle differential, strict-lint rejection of defective
+// programs across event-engine thread counts, the static-halo hooks
+// (reductions from start and chained through on_reduced), the heat
+// kernel's serial-oracle differential, strict-lint rejection of defective
 // compiled programs, the bounded LRU executor caches, and the fvf_spec
 // CLI (in-process).
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "serve/cache.hpp"
 #include "spec/compile.hpp"
 #include "spec/heat.hpp"
+#include "spec/launch.hpp"
 #include "spec/program.hpp"
 #include "tools/fvf_spec_cli.hpp"
 
@@ -178,6 +180,156 @@ TEST(SpecThreadIdentityTest, CompiledTransportBitIdenticalAcrossThreads) {
   }
 }
 
+// --- static-halo hooks: reductions from start and chained ------------------
+
+/// One-word halo, optional SUM reduction; everything else minimal.
+spec::StencilSpec probe_spec(bool with_reduction) {
+  spec::StencilSpec s;
+  s.name = with_reduction ? "probe" : "probe-no-reduction";
+  s.exchange = spec::ExchangeKind::StaticHalo;
+  s.shape = spec::StencilShape::NinePoint;
+  s.block_words_per_cell = 1;
+  s.claims.cardinal = "probe halo exchange";
+  s.claims.diagonal = "probe halo diagonal forwards";
+  s.claims.allreduce = "probe all-reduce";
+  s.claims.nack = "probe halo retransmit";
+  if (with_reduction) {
+    s.reduction = spec::ReductionSpec{wse::ReduceOp::Sum, 1};
+  }
+  s.fields = {
+      {"column", spec::FieldRole::State, 1, 0},
+      {"halo buffers", spec::FieldRole::HaloRecv, 8, 0},
+      {"code+runtime", spec::FieldRole::Code, 0, 1024},
+  };
+  return s;
+}
+
+/// Where a probe kernel first asks for a reduction.
+enum class FirstReduce : u8 { FromStart, FromRound };
+
+/// Reduces a small integer per PE (exact in f32 under any fold order)
+/// three times: once from `start` (or from the round, see FirstReduce),
+/// then twice more chained through on_reduced, recording every global.
+class ProbeKernel final : public spec::StencilKernel {
+ public:
+  ProbeKernel(Coord2 coord, FirstReduce first)
+      : base_(static_cast<f32>(1 + coord.x + 10 * coord.y)), first_(first) {}
+
+  [[nodiscard]] const std::vector<f32>& seen() const noexcept {
+    return seen_;
+  }
+  [[nodiscard]] i32 blocks() const noexcept { return blocks_; }
+
+  [[nodiscard]] spec::RoundOutcome start(wse::PeApi&) override {
+    if (first_ == FirstReduce::FromRound) {
+      return {spec::RoundAction::Continue, 0.0f};
+    }
+    return {spec::RoundAction::Reduce, base_};
+  }
+  [[nodiscard]] std::span<const f32> begin_round(wse::PeApi&) override {
+    return column_;
+  }
+  void on_block(wse::PeApi&, mesh::Face, wse::Dsd) override { ++blocks_; }
+  [[nodiscard]] spec::RoundOutcome on_round_complete(wse::PeApi&) override {
+    return {spec::RoundAction::Reduce, 2.0f * base_};
+  }
+  [[nodiscard]] spec::RoundOutcome on_reduced(wse::PeApi&,
+                                              f32 value) override {
+    seen_.push_back(value);
+    switch (seen_.size()) {
+      case 1:
+        return first_ == FirstReduce::FromStart
+                   ? spec::RoundOutcome{spec::RoundAction::Continue, 0.0f}
+                   : spec::RoundOutcome{spec::RoundAction::Reduce, 3.0f * base_};
+      case 2:
+        return {spec::RoundAction::Reduce, 3.0f * base_};
+      default:
+        return {spec::RoundAction::Done, 0.0f};
+    }
+  }
+
+ private:
+  f32 base_;
+  FirstReduce first_;
+  std::array<f32, 1> column_{0.0f};
+  std::vector<f32> seen_;
+  i32 blocks_ = 0;
+};
+
+/// The generated program with its probe kernel exposed to the test.
+class ProbeProgram final : public spec::SpecPeProgram {
+ public:
+  ProbeProgram(Coord2 coord, Coord2 fabric_size, bool with_reduction,
+               const spec::LaunchBindings& bindings, FirstReduce first)
+      : SpecPeProgram(coord, fabric_size, 1,
+                      spec::compile(probe_spec(with_reduction)), bindings,
+                      std::make_unique<ProbeKernel>(coord, first)) {}
+
+  [[nodiscard]] const ProbeKernel& probe() const noexcept {
+    return static_cast<const ProbeKernel&>(*kernel());
+  }
+};
+
+struct ProbeLoad {
+  std::unique_ptr<dataflow::FabricHarness> harness;
+  dataflow::ProgramGrid<ProbeProgram> grid;
+};
+
+ProbeLoad load_probe(bool with_reduction, FirstReduce first, i32 threads) {
+  dataflow::HarnessOptions options;
+  options.execution.threads = threads;
+  return spec::launch<ProbeLoad>(
+      probe_spec(with_reduction), Extents3{3, 2, 1}, options, {},
+      [with_reduction, first](Coord2 coord, Coord2 fabric_size,
+                              const spec::LaunchBindings& bindings) {
+        return std::make_unique<ProbeProgram>(coord, fabric_size,
+                                              with_reduction, bindings, first);
+      });
+}
+
+TEST(SpecHookTest, ReducesFromStartAndChainsThroughOnReduced) {
+  // PE bases 1 + x + 10y on a 3x2 fabric: 6 * 1 + 2 * (0 + 1 + 2) + 3 * 10.
+  constexpr f32 kSum = 42.0f;
+  for (const FirstReduce first :
+       {FirstReduce::FromStart, FirstReduce::FromRound}) {
+    const std::vector<f32> expected =
+        first == FirstReduce::FromStart
+            ? std::vector<f32>{kSum, 2.0f * kSum, 3.0f * kSum}
+            : std::vector<f32>{2.0f * kSum, 3.0f * kSum, 3.0f * kSum};
+    for (const i32 threads : {1, 2, 4}) {
+      const ProbeLoad load = load_probe(true, first, threads);
+      const dataflow::RunInfo info = load.harness->run();
+      ASSERT_TRUE(info.ok()) << "threads=" << threads;
+      for (i32 y = 0; y < 2; ++y) {
+        for (i32 x = 0; x < 3; ++x) {
+          const ProbeProgram& program = load.grid.at(x, y);
+          EXPECT_EQ(program.probe().seen(), expected)
+              << "PE(" << x << ',' << y << ") threads=" << threads;
+          EXPECT_EQ(program.completed_rounds(), 1);
+          EXPECT_GT(program.probe().blocks(), 0);
+        }
+      }
+    }
+  }
+}
+
+TEST(SpecHookTest, ReduceWithoutAReductionPhaseNamesTheSpec) {
+  for (const FirstReduce first :
+       {FirstReduce::FromStart, FirstReduce::FromRound}) {
+    const ProbeLoad load = load_probe(false, first, 1);
+    try {
+      (void)load.harness->run();
+      ADD_FAILURE() << "a Reduce on a spec without a reduction must fail";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "spec 'probe-no-reduction': kernel requested a "
+                    "reduction but the spec declares no reduction phase"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // --- heat: the spec-only kernel vs its serial oracle -------------------------
 
 TEST(HeatSpecTest, MatchesHostMirrorBitwiseAcrossThreads) {
@@ -293,7 +445,8 @@ TEST(SpecCliTest, ListKernelsShowsTheFullInventory) {
     EXPECT_NE(run.out.find(name), std::string::npos) << run.out;
   }
   EXPECT_NE(run.out.find("[spec]"), std::string::npos);
-  EXPECT_NE(run.out.find("[legacy]"), std::string::npos);
+  EXPECT_NE(run.out.find("[driver]"), std::string::npos);
+  EXPECT_EQ(run.out.find("[legacy]"), std::string::npos) << run.out;
 }
 
 TEST(SpecCliTest, DumpPlanPrintsTheLoweringSummary) {
@@ -305,10 +458,16 @@ TEST(SpecCliTest, DumpPlanPrintsTheLoweringSummary) {
 }
 
 TEST(SpecCliTest, LintExitsZeroOnEverySpecKernel) {
-  for (const char* name : {"tpfa", "transport", "heat"}) {
-    const CliRun run = run_spec_cli({"--lint", "--program", name});
-    EXPECT_EQ(run.code, 0) << name << ": " << run.out << run.err;
-    EXPECT_NE(run.out.find("clean"), std::string::npos) << run.out;
+  for (const char* name : {"tpfa", "cg", "transport", "wave", "heat"}) {
+    for (const bool reliability : {false, true}) {
+      std::vector<const char*> args = {"--lint", "--program", name};
+      if (reliability) {
+        args.push_back("--reliability");
+      }
+      const CliRun run = run_spec_cli(args);
+      EXPECT_EQ(run.code, 0) << name << ": " << run.out << run.err;
+      EXPECT_NE(run.out.find("clean"), std::string::npos) << run.out;
+    }
   }
 }
 
@@ -321,10 +480,13 @@ TEST(SpecCliTest, UnknownProgramIsRejectedWithTheInventory) {
       << "rejection must list the registered kernels: " << run.err;
 }
 
-TEST(SpecCliTest, LegacyKernelHasNoPlanToDump) {
-  const CliRun run = run_spec_cli({"--dump-plan", "--program", "wave"});
+TEST(SpecCliTest, DriverKernelHasNoPlanToDump) {
+  const CliRun run = run_spec_cli({"--dump-plan", "--program", "impes"});
   EXPECT_EQ(run.code, 2);
-  EXPECT_NE(run.err.find("legacy"), std::string::npos) << run.err;
+  EXPECT_NE(run.err.find("'impes' is a driver"), std::string::npos)
+      << run.err;
+  EXPECT_NE(run.err.find("runs cg + transport launches"), std::string::npos)
+      << run.err;
 }
 
 }  // namespace

@@ -31,13 +31,13 @@ int list_kernels(std::ostream& out) {
   out << "registered kernels:\n";
   for (const spec::KernelInfo& kernel : spec::registered_kernels()) {
     out << "  " << std::left << std::setw(10) << kernel.name
-        << (kernel.compiled ? "[spec]   " : "[legacy] ") << kernel.summary
+        << (kernel.compile_spec ? "[spec]   " : "[driver] ") << kernel.summary
         << "\n";
   }
   return 0;
 }
 
-/// Resolves --program against the registry and requires the spec path.
+/// Resolves --program against the registry and requires a compiled spec.
 [[nodiscard]] spec::KernelInfo require_compiled(const CliParser& cli,
                                                 std::ostream& err,
                                                 bool& failed) {
@@ -47,12 +47,11 @@ int list_kernels(std::ostream& out) {
   }
   const std::string name = dataflow::parse_program_flag(cli, "", known);
   spec::KernelInfo kernel = spec::find_kernel(name);
-  if (!kernel.compiled || kernel.compile_spec == nullptr) {
-    err << "fvf_spec: '" << name
-        << "' uses the legacy hand-written path; no spec to lower "
-           "(spec kernels:";
+  if (kernel.compile_spec == nullptr) {
+    err << "fvf_spec: '" << name << "' is a driver with no single spec to "
+        << "lower (" << kernel.summary << "; spec kernels:";
     for (const spec::KernelInfo& k : spec::registered_kernels()) {
-      if (k.compiled) {
+      if (k.compile_spec) {
         err << ' ' << k.name;
       }
     }

@@ -39,7 +39,7 @@ using LoadFn =
 
 /// Typed front end of launch_harness. `make(coord, fabric_size, bindings)`
 /// returns the per-PE program; it is kept as the lint probe factory, so it
-/// must be copyable and capture nothing that dies with the caller's frame.
+/// must be copyable and capture by reference only what outlives the load.
 /// `Load` is a `{harness, grid}` aggregate (TpfaLoad, CgLoad, ...).
 template <typename Load, typename MakeFn>
 [[nodiscard]] Load launch(StencilSpec spec, Extents3 extents,

@@ -23,10 +23,12 @@ int run(int argc, const char** argv) {
   core::TpfaKernelOptions kernel;
   kernel.iterations = 1;
   std::vector<core::TpfaPeProgram*> programs(9, nullptr);
+  const auto compiled = std::make_shared<const spec::CompiledSpec>(
+      spec::compile(core::make_tpfa_spec(kernel)));
   fabric.load([&](Coord2 coord, Coord2 fabric_size) {
     auto program = std::make_unique<core::TpfaPeProgram>(
         coord, fabric_size, ext, kernel, problem.fluid(),
-        core::extract_column(problem, coord.x, coord.y));
+        core::extract_column(problem, coord.x, coord.y), compiled);
     programs[static_cast<usize>(coord.y) * 3 + static_cast<usize>(coord.x)] =
         program.get();
     return program;

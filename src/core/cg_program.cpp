@@ -191,21 +191,17 @@ CgLoad load_dataflow_cg(const LinearStencil& stencil, const Array3<f32>& rhs,
   const Extents3 ext = stencil.extents;
   FVF_REQUIRE(rhs.extents() == ext);
 
-  // Locals are captured by value: the probe factory the harness keeps
-  // must stay valid after this function returns.
-  const CgKernelOptions kernel = options.kernel;
   return spec::launch<CgLoad>(
-      make_cg_spec(kernel), ext, options, options.reliability,
-      [&stencil, &rhs, ext, kernel](Coord2 coord, Coord2 fabric_size,
-                                    const spec::LaunchBindings& bindings) {
+      make_cg_spec(options.kernel), ext, options, options.reliability,
+      [&](Coord2 coord, Coord2 fabric_size,
+          const spec::LaunchBindings& bindings) {
         std::vector<f32> b(static_cast<usize>(ext.nz));
         for (i32 z = 0; z < ext.nz; ++z) {
           b[static_cast<usize>(z)] = rhs(coord.x, coord.y, z);
         }
         return std::make_unique<CgPeProgram>(
-            coord, fabric_size, ext.nz, spec::compile(make_cg_spec(kernel)),
-            bindings,
-            std::make_unique<CgKernel>(ext.nz, kernel, std::move(b),
+            coord, fabric_size, ext.nz, bindings,
+            std::make_unique<CgKernel>(ext.nz, options.kernel, std::move(b),
                                        StencilColumns::of(stencil, coord)));
       });
 }

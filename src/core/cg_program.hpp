@@ -62,8 +62,7 @@ struct DataflowCgResult : dataflow::RunInfo {
   f64 final_residual_norm = 0.0;
 };
 
-/// A loaded-but-not-run CG launch (see core/launcher.hpp::TpfaLoad). The
-/// referenced stencil and rhs must outlive the load.
+/// A loaded-but-not-run CG launch (see core/launcher.hpp::TpfaLoad).
 struct CgLoad {
   std::unique_ptr<dataflow::FabricHarness> harness;
   dataflow::ProgramGrid<CgPeProgram> grid;

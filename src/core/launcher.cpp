@@ -81,11 +81,11 @@ TpfaLoad load_dataflow_tpfa(const physics::FlowProblem& problem,
   const physics::FluidProperties fluid = problem.fluid();
   return spec::launch<TpfaLoad>(
       make_tpfa_spec(kernel), ext, options, /*reliability=*/{},
-      [&problem, ext, kernel, fluid](Coord2 coord, Coord2 fabric_size,
-                                     const spec::LaunchBindings&) {
+      [&](Coord2 coord, Coord2 fabric_size,
+          const spec::LaunchBindings& bindings) {
         return std::make_unique<TpfaPeProgram>(
             coord, fabric_size, ext, kernel, fluid,
-            extract_column(problem, coord.x, coord.y));
+            extract_column(problem, coord.x, coord.y), bindings.compiled);
       });
 }
 

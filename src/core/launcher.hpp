@@ -35,9 +35,9 @@ struct DataflowResult : dataflow::RunInfo {
                                           i32 x, i32 y);
 
 /// A loaded-but-not-run TPFA launch: the harness (for static lint or an
-/// actual run) plus the typed program grid for gathering results. The
-/// referenced FlowProblem must outlive the load (the lint probe factory
-/// extracts columns from it on demand).
+/// actual run) plus the typed program grid for gathering results. Every
+/// program copies its columns at load time, and lint reads the loaded
+/// programs, so the FlowProblem need not outlive the load call.
 struct TpfaLoad {
   std::unique_ptr<dataflow::FabricHarness> harness;
   dataflow::ProgramGrid<TpfaPeProgram> grid;

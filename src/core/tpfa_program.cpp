@@ -275,14 +275,22 @@ spec::StencilSpec make_tpfa_spec(const TpfaKernelOptions& options) {
   return s;
 }
 
-TpfaPeProgram::TpfaPeProgram(Coord2 coord, Coord2 fabric_size,
-                             Extents3 mesh_extents, TpfaKernelOptions options,
-                             physics::FluidProperties fluid, PeColumnData data)
+TpfaPeProgram::TpfaPeProgram(
+    Coord2 coord, Coord2 fabric_size, Extents3 mesh_extents,
+    TpfaKernelOptions options, physics::FluidProperties fluid,
+    PeColumnData data, std::shared_ptr<const spec::CompiledSpec> compiled)
     : SpecPeProgram(coord, fabric_size, mesh_extents.nz,
-                    spec::compile(make_tpfa_spec(options)), {},
+                    spec::LaunchBindings{std::move(compiled)},
                     std::make_unique<TpfaKernel>(coord, mesh_extents, options,
                                                  fluid, std::move(data))),
-      physics_(static_cast<TpfaKernel*>(kernel())) {}
+      physics_(static_cast<TpfaKernel*>(kernel())) {
+  FVF_REQUIRE_MSG(this->compiled().name() == "tpfa" &&
+                      this->compiled().spec().rounds == options.iterations &&
+                      this->compiled().nine_point() ==
+                          options.diagonals_enabled,
+                  "TpfaPeProgram: the compiled spec was not built from "
+                  "make_tpfa_spec of these kernel options");
+}
 
 std::span<const f32> TpfaPeProgram::residual() const noexcept {
   return physics_->residual();

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <array>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,12 +77,15 @@ class TpfaKernel;
 
 /// The per-PE program. Instantiated once per PE by the launcher — a thin
 /// facade over the compiled-spec engine that keeps the historical
-/// constructor and accessors (tests and benches construct it directly).
+/// accessors (tests and benches construct it directly). `compiled` is
+/// compile(make_tpfa_spec(options)), built once per load and shared by
+/// every PE.
 class TpfaPeProgram final : public spec::SpecPeProgram {
  public:
   TpfaPeProgram(Coord2 coord, Coord2 fabric_size, Extents3 mesh_extents,
                 TpfaKernelOptions options, physics::FluidProperties fluid,
-                PeColumnData data);
+                PeColumnData data,
+                std::shared_ptr<const spec::CompiledSpec> compiled);
 
   /// Residual column after the final completed iteration.
   [[nodiscard]] std::span<const f32> residual() const noexcept;

@@ -228,13 +228,9 @@ TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
   FVF_REQUIRE(pressure.extents() == ext);
   FVF_REQUIRE(well_rate.extents() == ext);
 
-  // Locals are captured by value: the probe factory the harness keeps
-  // must stay valid after this function returns.
-  const TransportKernelOptions kernel = options.kernel;
   return spec::launch<TransportLoad>(
-      make_transport_spec(kernel), ext, options, options.reliability,
-      [&problem, &saturation, &pressure, &well_rate, ext, kernel](
-          Coord2 coord, Coord2 fabric_size,
+      make_transport_spec(options.kernel), ext, options, options.reliability,
+      [&](Coord2 coord, Coord2 fabric_size,
           const spec::LaunchBindings& bindings) {
         // Geometry via the shared column extractor, dynamic fields by hand.
         PeColumnData geometry = extract_column(problem, coord.x, coord.y);
@@ -255,9 +251,8 @@ TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
               well_rate(coord.x, coord.y, z);
         }
         return std::make_unique<TransportPeProgram>(
-            coord, fabric_size, ext.nz,
-            spec::compile(make_transport_spec(kernel)), bindings,
-            std::make_unique<TransportKernel>(ext.nz, kernel,
+            coord, fabric_size, ext.nz, bindings,
+            std::make_unique<TransportKernel>(ext.nz, options.kernel,
                                               std::move(data)));
       });
 }

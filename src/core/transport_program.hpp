@@ -132,8 +132,7 @@ struct DataflowTransportResult : dataflow::RunInfo {
 };
 
 /// A loaded-but-not-run transport launch (see
-/// core/launcher.hpp::TpfaLoad). The referenced problem and field arrays
-/// must outlive the load.
+/// core/launcher.hpp::TpfaLoad).
 struct TransportLoad {
   std::unique_ptr<dataflow::FabricHarness> harness;
   dataflow::ProgramGrid<TransportPeProgram> grid;

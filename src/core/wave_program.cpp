@@ -97,21 +97,17 @@ WaveLoad load_dataflow_wave(const LinearStencil& stencil,
   const Extents3 ext = stencil.extents;
   FVF_REQUIRE(initial.extents() == ext);
 
-  // Locals are captured by value: the probe factory the harness keeps
-  // must stay valid after this function returns.
-  const WaveKernelOptions kernel = options.kernel;
   return spec::launch<WaveLoad>(
-      make_wave_spec(kernel), ext, options, options.reliability,
-      [&stencil, &initial, ext, kernel](Coord2 coord, Coord2 fabric_size,
-                                        const spec::LaunchBindings& bindings) {
+      make_wave_spec(options.kernel), ext, options, options.reliability,
+      [&](Coord2 coord, Coord2 fabric_size,
+          const spec::LaunchBindings& bindings) {
         std::vector<f32> u0(static_cast<usize>(ext.nz));
         for (i32 z = 0; z < ext.nz; ++z) {
           u0[static_cast<usize>(z)] = initial(coord.x, coord.y, z);
         }
         return std::make_unique<WavePeProgram>(
-            coord, fabric_size, ext.nz, spec::compile(make_wave_spec(kernel)),
-            bindings,
-            std::make_unique<WaveKernel>(ext.nz, kernel, std::move(u0),
+            coord, fabric_size, ext.nz, bindings,
+            std::make_unique<WaveKernel>(ext.nz, options.kernel, std::move(u0),
                                          StencilColumns::of(stencil, coord)));
       });
 }

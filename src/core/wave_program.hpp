@@ -60,7 +60,6 @@ struct DataflowWaveResult : dataflow::RunInfo {
 };
 
 /// A loaded-but-not-run wave launch (see core/launcher.hpp::TpfaLoad).
-/// The referenced stencil and initial field must outlive the load.
 struct WaveLoad {
   std::unique_ptr<dataflow::FabricHarness> harness;
   dataflow::ProgramGrid<WavePeProgram> grid;

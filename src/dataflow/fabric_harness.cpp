@@ -45,9 +45,6 @@ lint::Options FabricHarness::lint_options(bool full) const {
   // (router_buffer_depth = 0 in lint::Options).
   options.check_flow = full;
   options.memory_budget = options_.pe_memory_budget;
-  if (full) {
-    options.probe_factory = probe_factory_;
-  }
   options.color_claimed = [this](wse::Color c) { return colors_.claimed(c); };
   options.color_map = [this] { return colors_.describe(); };
   options.color_label = [this](wse::Color c) {
@@ -89,7 +86,7 @@ void FabricHarness::verify_load() const {
 }
 
 lint::Report FabricHarness::lint_report() const {
-  FVF_REQUIRE_MSG(probe_factory_ != nullptr,
+  FVF_REQUIRE_MSG(fabric_.pe(0, 0).program() != nullptr,
                   "FabricHarness::lint_report requires a prior load()");
   return lint::run(fabric_, lint_options(/*full=*/true));
 }

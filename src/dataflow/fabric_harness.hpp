@@ -5,8 +5,9 @@
 /// A FabricHarness builds the fabric from the mesh's XY extents, applies
 /// the shared HarnessOptions (timings, execution/fault model, trace
 /// recorder, PE memory budget), registers color claims through its
-/// ColorPlan, loads one typed program per PE, audits that every
-/// router-configured color was claimed, runs the event engine to
+/// ColorPlan, loads one typed program per PE, lints the loaded programs
+/// (fvf::lint; at every level at least the audit that every
+/// router-configured color was claimed), runs the event engine to
 /// quiescence, and returns the complete RunInfo every program result
 /// embeds. The per-program pipelines that used to copy-paste all of this
 /// shrink to: claim colors, construct programs, gather columns.
@@ -85,11 +86,9 @@ class FabricHarness {
   /// (fvf::lint). A configured-but-unclaimed color fails fast at every
   /// level with a diagnostic naming the PE, the color, and the full
   /// color map; Strict additionally fails the load on any other
-  /// error-severity finding, and Warn prints findings to stderr.
-  ///
-  /// `make` must be copyable: the harness keeps it as the probe factory
-  /// so the lint memory check (and lint_report()) can construct fresh
-  /// program instances and measure their reserve_memory declarations.
+  /// error-severity finding, and Warn prints findings to stderr. Lint
+  /// reads the loaded programs themselves (memory included), so `make`
+  /// runs only during this call.
   template <typename Program, typename MakeFn>
   ProgramGrid<Program> load(MakeFn&& make) {
     ProgramGrid<Program> grid;
@@ -102,16 +101,13 @@ class FabricHarness {
                      static_cast<usize>(coord.x)] = program.get();
       return program;
     });
-    probe_factory_ = [make](Coord2 coord, Coord2 fabric_size)
-        -> std::unique_ptr<wse::PeProgram> { return make(coord, fabric_size); };
     verify_load();
     return grid;
   }
 
   /// Runs the full static verifier over the loaded fabric and returns
   /// the report without enforcing it — the `fvf_lint` CLI path. Requires
-  /// a prior load(); the probe factory (and anything it references) must
-  /// still be alive.
+  /// a prior load(); reads only the loaded programs.
   [[nodiscard]] lint::Report lint_report() const;
 
   /// Runs the event engine to quiescence and returns the full accounting.
@@ -136,9 +132,6 @@ class FabricHarness {
   Coord2 extents_;
   HarnessOptions options_;
   ColorPlan colors_;
-  /// Type-erased copy of the last load()'s make function, used by the
-  /// lint memory check to probe per-PE reserve_memory declarations.
-  wse::ProgramFactory probe_factory_;
   /// Keep-latest recorder the harness attaches for Perfetto export when
   /// the caller asked for trace_json_path but supplied no recorder.
   std::unique_ptr<wse::TraceRecorder> owned_trace_;

@@ -52,7 +52,7 @@ class Linter {
       flow.skip_colors = cyclic_colors_;
       run_flow_checks(fabric_, flow, report_.diagnostics);
     }
-    if (options_.check_memory && options_.probe_factory != nullptr) {
+    if (options_.check_memory) {
       lint_memory();
     }
     return std::move(report_);
@@ -383,18 +383,17 @@ class Linter {
   }
 
   void lint_memory() {
-    const Coord2 size{fabric_.width(), fabric_.height()};
     for (i32 y = 0; y < fabric_.height(); ++y) {
       for (i32 x = 0; x < fabric_.width(); ++x) {
-        // Probe arena with an effectively unlimited budget: the point is
-        // to *measure* the declaration, not to fail at the first excess
-        // reserve (PeMemory throws on its own budget).
+        const wse::PeProgram* program = fabric_.pe(x, y).program();
+        if (program == nullptr) {
+          continue;
+        }
+        // Scratch arena with an effectively unlimited budget: the point
+        // is to *measure* the declaration, not to fail at the first
+        // excess reserve (PeMemory throws on its own budget), and the
+        // PE's own arena stays untouched until the program starts.
         wse::PeMemory probe(usize{1} << 40);
-        const std::unique_ptr<wse::PeProgram> program =
-            options_.probe_factory(Coord2{x, y}, size);
-        FVF_REQUIRE_MSG(program != nullptr,
-                        "lint probe factory returned no program for PE("
-                            << x << ',' << y << ")");
         program->reserve_memory(probe);
         const usize used = probe.used();
         const usize budget = options_.memory_budget != 0

@@ -8,9 +8,10 @@
 /// first allocation, and both only surface mid-run (or never). fvf::lint
 /// walks the loaded-but-unexecuted fabric — router switch configurations,
 /// PeProgram color bindings (handles_color), declared sends
-/// (send_declarations), and declared memory footprints (reserve_memory on
-/// probe instances) — and reports typed diagnostics with PE coordinates and
-/// color names, before a single event runs.
+/// (send_declarations), and declared memory footprints (reserve_memory of
+/// the loaded programs into a scratch arena) — and reports typed
+/// diagnostics with PE coordinates and color names, before a single event
+/// runs.
 ///
 /// Diagnostic catalogue (Check):
 ///
@@ -116,7 +117,8 @@ struct Options {
   /// Routing-graph checks: cycles, dead-ends, unrouted sends, unhandled
   /// deliveries.
   bool check_routing = true;
-  /// Per-PE static memory verification (needs probe_factory).
+  /// Per-PE static memory verification of the loaded programs'
+  /// reserve_memory declarations.
   bool check_memory = true;
   /// Switch-position reconfiguration hazards.
   bool check_reconfiguration = true;
@@ -131,10 +133,6 @@ struct Options {
   f64 memory_warn_fraction = 0.9;
   /// Budget override for the memory check; 0 uses each PE's own budget.
   usize memory_budget = 0;
-  /// Constructs a fresh program instance for a PE so its reserve_memory
-  /// declaration can be probed without touching the loaded fabric. The
-  /// memory check is skipped when null.
-  wse::ProgramFactory probe_factory;
   /// Claim oracle (ColorPlan::claimed). The unclaimed-color audit is
   /// skipped when null.
   std::function<bool(wse::Color)> color_claimed;

@@ -16,8 +16,10 @@
 
 namespace fvf::spec {
 
-/// A validated, launch-ready spec. Copyable: every PE program carries
-/// one, and the launch helpers hash it to memoize strict-lint passes.
+/// A validated, launch-ready spec. `spec::launch` compiles one per launch
+/// and every PE program of that launch reads it through one shared,
+/// immutable instance (LaunchBindings::compiled); the launch helpers hash
+/// it to memoize strict-lint passes.
 class CompiledSpec {
  public:
   /// Colors handed back to the launcher after claiming.

@@ -115,19 +115,19 @@ StencilSpec make_heat_spec(const HeatKernelOptions&) {
 
 HeatLoad load_dataflow_heat(const Array3<f32>& field,
                             const DataflowHeatOptions& options) {
-  const HeatKernelOptions kernel = options.kernel;
   return launch<HeatLoad>(
-      make_heat_spec(kernel), field.extents(), options, options.reliability,
-      [&field, kernel](Coord2 coord, Coord2 fabric_size,
-                       const LaunchBindings& bindings) {
+      make_heat_spec(options.kernel), field.extents(), options,
+      options.reliability,
+      [&](Coord2 coord, Coord2 fabric_size, const LaunchBindings& bindings) {
         const i32 nz = field.extents().nz;
         std::vector<f32> column(static_cast<usize>(nz));
         for (i32 z = 0; z < nz; ++z) {
           column[static_cast<usize>(z)] = field(coord.x, coord.y, z);
         }
         return std::make_unique<HeatPeProgram>(
-            coord, fabric_size, nz, compile(make_heat_spec(kernel)), bindings,
-            std::make_unique<HeatKernel>(nz, kernel, std::move(column)));
+            coord, fabric_size, nz, bindings,
+            std::make_unique<HeatKernel>(nz, options.kernel,
+                                         std::move(column)));
       });
 }
 

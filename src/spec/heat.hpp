@@ -67,7 +67,6 @@ struct DataflowHeatResult : dataflow::RunInfo {
 };
 
 /// A loaded-but-not-run heat launch (see core/launcher.hpp::TpfaLoad).
-/// The referenced field array must outlive the load.
 struct HeatLoad {
   std::unique_ptr<dataflow::FabricHarness> harness;
   dataflow::ProgramGrid<HeatPeProgram> grid;

@@ -80,16 +80,17 @@ std::unique_ptr<dataflow::FabricHarness> launch_harness(
     reliability.enabled = true;
   }
 
-  const CompiledSpec compiled = compile(std::move(spec));
+  const auto compiled =
+      std::make_shared<const CompiledSpec>(compile(std::move(spec)));
   const Coord2 fabric{extents.nx, extents.ny};
   const dataflow::HarnessOptions effective = verified_options(
-      compiled, fabric, extents.nz, options, reliability.enabled);
+      *compiled, fabric, extents.nz, options, reliability.enabled);
 
   auto harness = std::make_unique<dataflow::FabricHarness>(fabric, effective);
   const CompiledSpec::Claims claims =
-      compiled.claim_colors(harness->colors(), reliability.enabled);
-  load(*harness, LaunchBindings{claims.reduce, reliability});
-  record_verified(compiled, fabric, extents.nz, effective,
+      compiled->claim_colors(harness->colors(), reliability.enabled);
+  load(*harness, LaunchBindings{compiled, claims.reduce, reliability});
+  record_verified(*compiled, fabric, extents.nz, effective,
                   reliability.enabled);
   return harness;
 }

@@ -4,10 +4,12 @@
 ///
 /// A launch (1) turns halo reliability on when bit flips can drop blocks,
 /// which the implicit-FIFO static-halo protocol cannot survive; (2)
-/// compiles the spec; (3) raises lint to Strict unless this program shape
-/// already passed strict lint in this process; (4) builds the
+/// compiles the spec once; (3) raises lint to Strict unless this program
+/// shape already passed strict lint in this process; (4) builds the
 /// FabricHarness; (5) claims the spec's colors; (6) loads one program per
-/// PE through the caller's factory; and (7) records the strict pass.
+/// PE through the caller's factory, every program sharing the one
+/// CompiledSpec (LaunchBindings::compiled); and (7) records the strict
+/// pass.
 ///
 /// Passes are memoized by the spec's structural digest + fabric extents +
 /// column depth + memory budget + reliability: two launches with equal
@@ -27,7 +29,7 @@
 namespace fvf::spec {
 
 /// Loads the programs onto the harness; called once with the bindings
-/// the launch claimed.
+/// of the launch (its compiled spec and claimed colors).
 using LoadFn =
     std::function<void(dataflow::FabricHarness&, const LaunchBindings&)>;
 
@@ -38,14 +40,13 @@ using LoadFn =
     dataflow::HaloReliabilityOptions reliability, const LoadFn& load);
 
 /// Typed front end of launch_harness. `make(coord, fabric_size, bindings)`
-/// returns the per-PE program; it is kept as the lint probe factory, so it
-/// must be copyable and capture by reference only what outlives the load.
-/// `Load` is a `{harness, grid}` aggregate (TpfaLoad, CgLoad, ...).
+/// returns the per-PE program; it runs only during the load. `Load` is a
+/// `{harness, grid}` aggregate (TpfaLoad, CgLoad, ...).
 template <typename Load, typename MakeFn>
 [[nodiscard]] Load launch(StencilSpec spec, Extents3 extents,
                           const dataflow::HarnessOptions& options,
                           dataflow::HaloReliabilityOptions reliability,
-                          MakeFn make) {
+                          const MakeFn& make) {
   using Program = typename std::invoke_result_t<
       MakeFn, Coord2, Coord2, const LaunchBindings&>::element_type;
   Load load;
@@ -53,7 +54,7 @@ template <typename Load, typename MakeFn>
       std::move(spec), extents, options, reliability,
       [&](dataflow::FabricHarness& harness, const LaunchBindings& bindings) {
         load.grid = harness.load<Program>(
-            [make, bindings](Coord2 coord, Coord2 fabric_size) {
+            [&](Coord2 coord, Coord2 fabric_size) {
               return make(coord, fabric_size, bindings);
             });
       });

@@ -65,16 +65,18 @@ RoundOutcome StencilKernel::on_reduced(PeApi&, f32) {
 }
 
 SpecPeProgram::SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                             CompiledSpec compiled, LaunchBindings bindings,
+                             const LaunchBindings& bindings,
                              std::unique_ptr<StencilKernel> kernel)
-    : IterativeKernelProgram(coord, fabric_size),
-      compiled_(std::move(compiled)),
+    : coord_(coord),
+      compiled_(bindings.compiled),
       kernel_(std::move(kernel)),
-      nz_(nz),
-      nine_point_(compiled_.nine_point()) {
+      nz_(nz) {
+  FVF_REQUIRE_MSG(compiled_ != nullptr,
+                  "SpecPeProgram needs the launch's compiled spec");
   FVF_REQUIRE(nz_ >= 1);
-  block_len_ = compiled_.block_words() * nz_;
-  const StencilSpec& spec = compiled_.spec();
+  nine_point_ = compiled_->nine_point();
+  block_len_ = compiled_->block_words() * nz_;
+  const StencilSpec& spec = compiled_->spec();
 
   switch (spec.exchange) {
     case ExchangeKind::None:
@@ -113,53 +115,23 @@ SpecPeProgram::SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
           ++expected_diags_;
         }
       }
-
-      // Declarative dispatch: the cardinal exchange plus its control
-      // wavelets, and the diagonal forwards when the shape has corners.
-      // All of it is halo traffic for the profiler; the handlers retag
-      // themselves when they hand a drained block to the kernel.
-      for (const Color c : kCardinalColors) {
-        if (!(spec.defects.drop_east_data_handler && c == kEastData)) {
-          bind_data(
-              c,
-              [this](PeApi& api, Color color, Dir from,
-                     std::span<const u32> block) {
-                handle_cardinal(api, color, from, block);
-              },
-              obs::Phase::Halo);
-        }
-        bind_control(
-            c,
-            [this](PeApi& api, Color color, Dir) {
-              handle_control(api, color);
-            },
-            obs::Phase::Halo);
-      }
-      if (nine_point_) {
-        for (const Color c : kDiagonalColors) {
-          bind_data(
-              c,
-              [this](PeApi& api, Color color, Dir from,
-                     std::span<const u32> block) {
-                handle_diagonal(api, color, from, block);
-              },
-              obs::Phase::Halo);
-        }
-      }
       break;
     }
 
     case ExchangeKind::StaticHalo: {
-      reliability_enabled_ = bindings.reliability.enabled;
-      use_halo_exchange(block_len_, bindings.reliability);
+      exchange_.emplace(coord, fabric_size, block_len_, bindings.reliability);
+      exchange_->set_handlers(
+          [this](PeApi& api, mesh::Face face, Dsd block) {
+            require_kernel().on_block(api, face, block);
+          },
+          [this](PeApi& api) { on_halo_complete(api); });
       if (spec.reduction) {
-        reduce_colors_ = bindings.reduce;
         FVF_REQUIRE_MSG(bindings.reduce.has_value(),
                         "spec '" << spec.name
                                  << "' declares a reduction phase but the "
                                     "launch supplied no AllReduce colors");
-        use_allreduce(*bindings.reduce, spec.reduction->length,
-                      spec.reduction->op);
+        allreduce_.emplace(*bindings.reduce, coord, fabric_size,
+                           spec.reduction->length, spec.reduction->op);
       }
       break;
     }
@@ -168,27 +140,35 @@ SpecPeProgram::SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
 
 StencilKernel& SpecPeProgram::require_kernel() const {
   FVF_REQUIRE_MSG(kernel_ != nullptr,
-                  "spec '" << compiled_.name()
+                  "spec '" << compiled_->name()
                            << "': program was loaded without a kernel and "
                               "can be linted but not run");
   return *kernel_;
 }
 
-void SpecPeProgram::reserve_memory(wse::PeMemory& mem) {
-  const usize n = static_cast<usize>(nz_);
-  for (const FieldSpec& field : compiled_.spec().fields) {
-    if (field.role == FieldRole::Code) {
-      mem.reserve(field.bytes, field.name);
-    } else {
-      mem.reserve(static_cast<usize>(field.words_per_cell) * n * sizeof(f32),
-                  field.name);
-    }
+bool SpecPeProgram::switch_handles(Color color, bool control) const noexcept {
+  const StencilSpec& spec = compiled_->spec();
+  if (spec.exchange != ExchangeKind::SwitchProtocol) {
+    return false;
   }
+  if (is_cardinal_color(color)) {
+    return control ||
+           !(spec.defects.drop_east_data_handler && color == kEastData);
+  }
+  return !control && nine_point_ && is_diagonal_color(color);
 }
 
-void SpecPeProgram::configure_routes(wse::Router& router) {
-  if (compiled_.spec().exchange != ExchangeKind::SwitchProtocol) {
-    return;  // None: no colors; StaticHalo: the component owns its routes.
+// --- dispatch -------------------------------------------------------------
+
+void SpecPeProgram::configure_router(wse::Router& router) {
+  if (exchange_.has_value()) {
+    exchange_->configure_router(router);
+  }
+  if (allreduce_.has_value()) {
+    allreduce_->configure_router(router);
+  }
+  if (compiled_->spec().exchange != ExchangeKind::SwitchProtocol) {
+    return;  // None: no colors; StaticHalo: the components own the routes.
   }
   // Cardinal colors: the Figure 6 two-position switch protocol.
   for (const Color c : kCardinalColors) {
@@ -219,53 +199,215 @@ void SpecPeProgram::configure_routes(wse::Router& router) {
   }
 }
 
-std::vector<wse::SendDeclaration> SpecPeProgram::program_send_declarations()
-    const {
-  if (compiled_.spec().exchange != ExchangeKind::SwitchProtocol) {
-    return {};
-  }
-  // Figure 6: every PE sends one block plus the role-flipping control
-  // wavelet on each cardinal color, and forwards received blocks on the
-  // rotated diagonal color (Figure 5 intermediary role).
-  std::vector<wse::SendDeclaration> sends;
-  for (const Color c : kCardinalColors) {
-    sends.push_back({c, false});
-    sends.push_back({c, true});
-    if (nine_point_ && card_[cardinal_index(c)].has_upstream) {
-      sends.push_back({diagonal_forward_color(c), false});
+void SpecPeProgram::reserve_memory(wse::PeMemory& mem) const {
+  const usize n = static_cast<usize>(nz_);
+  for (const FieldSpec& field : compiled_->spec().fields) {
+    if (field.role == FieldRole::Code) {
+      mem.reserve(field.bytes, field.name);
+    } else {
+      mem.reserve(static_cast<usize>(field.words_per_cell) * n * sizeof(f32),
+                  field.name);
     }
+  }
+}
+
+void SpecPeProgram::on_start(PeApi& api) {
+  reserve_memory(api.memory());
+  switch (compiled_->spec().exchange) {
+    case ExchangeKind::None:
+      require_kernel().local_compute(api, 0);
+      api.signal_done();
+      break;
+    case ExchangeKind::SwitchProtocol:
+      begin_iteration(api);
+      check_completion(api);
+      break;
+    case ExchangeKind::StaticHalo:
+      apply_outcome(api, require_kernel().start(api));
+      break;
+  }
+}
+
+void SpecPeProgram::on_data(PeApi& api, Color color, Dir from,
+                            std::span<const u32> data) {
+  if (switch_handles(color, /*control=*/false)) {
+    if (is_cardinal_color(color)) {
+      handle_cardinal(api, color, from, data);
+    } else {
+      handle_diagonal(api, color, from, data);
+    }
+    return;
+  }
+  if (allreduce_.has_value() && allreduce_->owns(color)) {
+    allreduce_->on_data(api, color, from, data);
+    return;
+  }
+  if (exchange_.has_value()) {
+    if (is_nack_color(color)) {
+      exchange_->on_nack(api, color, from, data);
+      return;
+    }
+    if (HaloExchange::owns(color)) {
+      if (!exchange_->reliability().enabled) {
+        FVF_REQUIRE(static_cast<i32>(data.size()) ==
+                    exchange_->block_length());
+      }
+      exchange_->on_data(api, color, from, data);
+      return;
+    }
+  }
+  FVF_REQUIRE_MSG(false, "PE(" << coord_.x << ',' << coord_.y
+                               << ") received data on color "
+                               << static_cast<int>(color.id())
+                               << " with no handler, exchange or allreduce "
+                                  "bound to it");
+}
+
+void SpecPeProgram::on_control(PeApi& api, Color color, Dir) {
+  FVF_REQUIRE_MSG(switch_handles(color, /*control=*/true),
+                  "PE(" << coord_.x << ',' << coord_.y
+                        << ") received a control wavelet on color "
+                        << static_cast<int>(color.id())
+                        << " with no handler bound to it");
+  handle_control(api, color);
+}
+
+void SpecPeProgram::on_timer(PeApi& api, u32 tag) {
+  FVF_REQUIRE_MSG(exchange_.has_value(),
+                  "timer fired on a program without a halo exchange");
+  exchange_->on_timer(api, tag);
+}
+
+obs::Phase SpecPeProgram::task_phase(Color color, bool control,
+                                     bool timer) const noexcept {
+  if (timer) {
+    // Timers belong to the halo exchange's retransmit watchdog.
+    return obs::Phase::Reliability;
+  }
+  if (switch_handles(color, control)) {
+    // The switch-protocol handlers retag themselves when they hand a
+    // drained block to the kernel.
+    return obs::Phase::Halo;
+  }
+  if (allreduce_.has_value() && allreduce_->owns(color)) {
+    return obs::Phase::AllReduce;
+  }
+  if (exchange_.has_value()) {
+    if (is_nack_color(color)) {
+      return obs::Phase::Reliability;
+    }
+    if (HaloExchange::owns(color)) {
+      return obs::Phase::Halo;
+    }
+  }
+  return obs::Phase::LocalCompute;
+}
+
+bool SpecPeProgram::handles_color(Color color, bool control) const {
+  if (switch_handles(color, control)) {
+    return true;
+  }
+  if (control) {
+    return false;
+  }
+  if (allreduce_.has_value() && allreduce_->owns(color)) {
+    return true;
+  }
+  if (exchange_.has_value()) {
+    if (is_nack_color(color)) {
+      return exchange_->reliability().enabled;
+    }
+    if (HaloExchange::owns(color)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::vector<wse::SendDeclaration> SpecPeProgram::send_declarations() const {
+  std::vector<wse::SendDeclaration> sends;
+  if (compiled_->spec().exchange == ExchangeKind::SwitchProtocol) {
+    // Figure 6: every PE sends one block plus the role-flipping control
+    // wavelet on each cardinal color, and forwards received blocks on the
+    // rotated diagonal color (Figure 5 intermediary role).
+    for (const Color c : kCardinalColors) {
+      sends.push_back({c, false});
+      sends.push_back({c, true});
+      if (nine_point_ && card_[cardinal_index(c)].has_upstream) {
+        sends.push_back({diagonal_forward_color(c), false});
+      }
+    }
+  }
+  if (exchange_.has_value()) {
+    const std::vector<wse::SendDeclaration> ex =
+        exchange_->send_declarations();
+    sends.insert(sends.end(), ex.begin(), ex.end());
+  }
+  if (allreduce_.has_value()) {
+    const std::vector<wse::SendDeclaration> ar =
+        allreduce_->send_declarations();
+    sends.insert(sends.end(), ar.begin(), ar.end());
   }
   return sends;
 }
 
-std::vector<wse::ChannelDependency>
-SpecPeProgram::program_channel_dependencies() const {
-  if (compiled_.spec().exchange != ExchangeKind::SwitchProtocol) {
-    return {};  // StaticHalo orderings come from the attached components.
-  }
+std::vector<wse::ChannelDependency> SpecPeProgram::channel_dependencies()
+    const {
   std::vector<wse::ChannelDependency> deps;
-  for (const Color c : kCardinalColors) {
-    const CardinalState& cs = card_[cardinal_index(c)];
-    if (!cs.has_upstream) {
-      continue;
+  if (compiled_->spec().exchange == ExchangeKind::SwitchProtocol) {
+    for (const Color c : kCardinalColors) {
+      const CardinalState& cs = card_[cardinal_index(c)];
+      if (!cs.has_upstream) {
+        continue;
+      }
+      if (!cs.phase1_sender) {
+        // Figure 6 phase-2 role: this PE sends only after the upstream's
+        // control wavelet flips the switch (handle_control gating). The
+        // upstream is a phase-1 sender (or edge PE), so the chain ends.
+        deps.push_back({c, c});
+      }
+      if (nine_point_) {
+        // Figure 5 intermediary: the diagonal forward is sent from inside
+        // handle_cardinal, after the cardinal block arrives.
+        deps.push_back({c, diagonal_forward_color(c)});
+      }
     }
-    if (!cs.phase1_sender) {
-      // Figure 6 phase-2 role: this PE sends only after the upstream's
-      // control wavelet flips the switch (handle_control gating). The
-      // upstream is a phase-1 sender (or edge PE), so the chain ends.
-      deps.push_back({c, c});
-    }
-    if (nine_point_) {
-      // Figure 5 intermediary: the diagonal forward is sent from inside
-      // handle_cardinal, after the cardinal block arrives.
-      deps.push_back({c, diagonal_forward_color(c)});
+  }
+  if (exchange_.has_value()) {
+    const std::vector<wse::ChannelDependency> ex =
+        exchange_->channel_dependencies();
+    deps.insert(deps.end(), ex.begin(), ex.end());
+  }
+  if (allreduce_.has_value()) {
+    const std::vector<wse::ChannelDependency> ar =
+        allreduce_->channel_dependencies();
+    deps.insert(deps.end(), ar.begin(), ar.end());
+    if (exchange_.has_value()) {
+      // Phase-structure bridge: the all-reduce contribution runs from
+      // on_halo_complete (or later compute), so every tree send waits
+      // for each halo arrival of the round. Halo sends of the *next*
+      // round are round-to-round progress and deliberately undeclared.
+      for (const wse::SendDeclaration& send :
+           allreduce_->send_declarations()) {
+        for (const Color halo : exchange_->upstream_colors()) {
+          deps.push_back({halo, send.color});
+        }
+      }
     }
   }
   return deps;
 }
 
+std::vector<wse::ReductionDeclaration> SpecPeProgram::reduction_declarations()
+    const {
+  if (!allreduce_.has_value()) {
+    return {};
+  }
+  return allreduce_->reduction_declarations();
+}
+
 std::string SpecPeProgram::describe_channel(Color color) const {
-  const StencilSpec& spec = compiled_.spec();
+  const StencilSpec& spec = compiled_->spec();
   if (spec.exchange == ExchangeKind::None) {
     return {};
   }
@@ -286,35 +428,16 @@ std::string SpecPeProgram::describe_channel(Color color) const {
     os << " (shape=nine-point diagonal forward)";
     return os.str();
   }
-  if (reduce_colors_.has_value() &&
-      (color == reduce_colors_->row_reduce ||
-       color == reduce_colors_->col_reduce ||
-       color == reduce_colors_->row_bcast ||
-       color == reduce_colors_->col_bcast)) {
+  if (allreduce_.has_value() && allreduce_->owns(color)) {
     os << " (reduction: length=" << spec.reduction->length << ')';
     return os.str();
   }
-  if (reliability_enabled_ && is_nack_color(color)) {
+  if (exchange_.has_value() && exchange_->reliability().enabled &&
+      is_nack_color(color)) {
     os << " (halo reliability binding)";
     return os.str();
   }
   return {};
-}
-
-void SpecPeProgram::begin(PeApi& api) {
-  switch (compiled_.spec().exchange) {
-    case ExchangeKind::None:
-      require_kernel().local_compute(api, 0);
-      api.signal_done();
-      break;
-    case ExchangeKind::SwitchProtocol:
-      begin_iteration(api);
-      check_completion(api);
-      break;
-    case ExchangeKind::StaticHalo:
-      apply_outcome(api, require_kernel().start(api));
-      break;
-  }
 }
 
 // --- switch-protocol machinery ------------------------------------------
@@ -479,13 +602,13 @@ void SpecPeProgram::check_completion(PeApi& api) {
     }
     return true;
   };
-  while (round_ < compiled_.spec().rounds &&
+  while (round_ < compiled_->spec().rounds &&
          cards_processed_this_round_ == expected_cards_ &&
          diags_processed_this_round_ == expected_diags_ &&
          all_sends_done()) {
     finalize_round(api);
     ++round_;
-    if (round_ == compiled_.spec().rounds) {
+    if (round_ == compiled_->spec().rounds) {
       api.signal_done();
       return;
     }
@@ -498,11 +621,7 @@ void SpecPeProgram::check_completion(PeApi& api) {
 void SpecPeProgram::start_round(PeApi& api) {
   const std::span<const f32> block = require_kernel().begin_round(api);
   FVF_REQUIRE(static_cast<i32>(block.size()) == block_len_);
-  exchange().begin_round(api, block);
-}
-
-void SpecPeProgram::on_halo_block(PeApi& api, mesh::Face face, Dsd block) {
-  require_kernel().on_block(api, face, block);
+  exchange_->begin_round(api, block);
 }
 
 void SpecPeProgram::apply_outcome(PeApi& api, RoundOutcome outcome) {
@@ -514,12 +633,12 @@ void SpecPeProgram::apply_outcome(PeApi& api, RoundOutcome outcome) {
       start_round(api);
       return;
     case RoundAction::Reduce: {
-      FVF_REQUIRE_MSG(compiled_.spec().reduction.has_value(),
-                      "spec '" << compiled_.name()
+      FVF_REQUIRE_MSG(compiled_->spec().reduction.has_value(),
+                      "spec '" << compiled_->name()
                                << "': kernel requested a reduction but the "
                                   "spec declares no reduction phase");
       const std::array<f32, 1> contrib{outcome.contribution};
-      allreduce().contribute(api, contrib,
+      allreduce_->contribute(api, contrib,
                              [this](PeApi& a, std::span<const f32> g) {
                                apply_outcome(
                                    a, require_kernel().on_reduced(a, g[0]));
@@ -536,7 +655,7 @@ void SpecPeProgram::on_halo_complete(PeApi& api) {
 
 std::string SpecPeProgram::debug_state() const {
   std::ostringstream os;
-  os << "PE(" << coord().x << ',' << coord().y << ") iter=" << round_
+  os << "PE(" << coord_.x << ',' << coord_.y << ") iter=" << round_
      << " cards=" << cards_processed_this_round_ << '/' << expected_cards_
      << " diags=" << diags_processed_this_round_ << '/' << expected_diags_;
   for (const Color c : kCardinalColors) {

@@ -7,11 +7,11 @@
 /// switch protocol or the shared HaloExchange component), the complete
 /// ordered per-PE memory layout, the color-plan claim labels, and an
 /// optional fabric-wide reduction. `spec::compile` validates the spec and
-/// lowers it to a CompiledSpec; `spec::SpecPeProgram` is the generated
-/// `dataflow::IterativeKernelProgram` that executes it, invoking a
-/// StencilKernel for the physics only. Every shipped fabric kernel (tpfa,
-/// cg, transport, wave, heat) is such a spec; IMPES is a host driver over
-/// cg and transport launches.
+/// lowers it to a CompiledSpec, once per launch; `spec::SpecPeProgram`,
+/// the one PE program, executes it on every PE of the launch from that
+/// shared CompiledSpec, invoking a StencilKernel for the physics only.
+/// Every shipped fabric kernel (tpfa, cg, transport, wave, heat) is such
+/// a spec; IMPES is a host driver over cg and transport launches.
 ///
 /// The split is deliberate: everything that fvf::lint can verify
 /// statically (colors, routes, sends, handlers, memory) is produced by
@@ -21,8 +21,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -103,14 +101,6 @@ struct DefectInjection {
   bool drop_east_data_handler = false;
 };
 
-class StencilKernel;
-
-/// Creates the per-PE physics kernel at load time. May be empty for
-/// kernel-less fixtures (the program then must never be run).
-using KernelFactory =
-    std::function<std::unique_ptr<StencilKernel>(Coord2 coord,
-                                                 Coord2 fabric_size)>;
-
 /// The declarative program description `spec::compile` lowers.
 struct StencilSpec {
   std::string name;
@@ -125,7 +115,6 @@ struct StencilSpec {
   std::vector<FieldSpec> fields;
   ClaimLabels claims;
   std::optional<ReductionSpec> reduction;
-  KernelFactory make_kernel;
   DefectInjection defects;
 };
 

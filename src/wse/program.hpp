@@ -72,11 +72,11 @@ class PeProgram {
   virtual void configure_router(Router& router) = 0;
 
   /// Declares the program's static PE memory footprint into `mem`.
-  /// The runtime calls it once per PE before the first handler runs;
-  /// fvf::lint calls it on constructed-but-not-executed probe instances
-  /// to verify the footprint against the byte budget. Must not touch
-  /// fabric state (it only sees the memory arena).
-  virtual void reserve_memory(PeMemory& mem);
+  /// Programs call it once on their own arena before the first handler
+  /// runs; fvf::lint calls it on the loaded, not yet started programs
+  /// with a scratch arena to verify the footprint against the byte
+  /// budget. Must not touch fabric state (it only sees the memory arena).
+  virtual void reserve_memory(PeMemory& mem) const;
 
   /// Whether a wavelet of `color` delivered to this PE's Ramp would find
   /// a task (data-block handler, or control handler when `control`).
@@ -133,7 +133,7 @@ class PeProgram {
                                               bool timer) const noexcept;
 };
 
-inline void PeProgram::reserve_memory(PeMemory&) {}
+inline void PeProgram::reserve_memory(PeMemory&) const {}
 inline bool PeProgram::handles_color(Color, bool) const { return true; }
 inline std::vector<SendDeclaration> PeProgram::send_declarations() const {
   return {};

@@ -1,8 +1,8 @@
 // fvf::lint regression suite: golden messages for every diagnostic class
 // in the seeded defect corpus, the legacy unclaimed-color contract the
 // linter absorbed from the old load-time route audit, clean bills of
-// health for the shipped programs, and the fvf_lint CLI (arguments,
-// output, exit codes) driven in-process.
+// health for the shipped programs, the memory check on a real launch,
+// and the fvf_lint CLI (arguments, output, exit codes) driven in-process.
 //
 // Regenerate the golden messages after an *intentional* wording change
 // with
@@ -20,12 +20,14 @@
 #include "core/cg_program.hpp"
 #include "core/launcher.hpp"
 #include "core/linear_stencil.hpp"
+#include "core/tpfa_program.hpp"
 #include "core/transport_program.hpp"
 #include "core/wave_program.hpp"
 #include "dataflow/fabric_harness.hpp"
 #include "lint/defects.hpp"
 #include "lint/lint.hpp"
 #include "physics/problem.hpp"
+#include "spec/compile.hpp"
 #include "tools/fvf_lint_cli.hpp"
 #include "wse/program.hpp"
 #include "wse/route.hpp"
@@ -255,6 +257,89 @@ TEST(LintShippedProgramsTest, WaveLintsClean) {
       core::load_dataflow_wave(stencil, pulse, core::DataflowWaveOptions{});
   const Report report = load.harness->lint_report();
   EXPECT_TRUE(report.clean()) << report.describe();
+}
+
+// --- memory lint on a real launch --------------------------------------------
+
+// With buffer reuse, Nz = 246 is the deepest TPFA column that fits the
+// default 48 KiB PE memory (the paper's maximum); one cell more must be
+// caught by lint before a single event runs.
+constexpr i32 kMaxTpfaNz = 246;
+
+physics::FlowProblem tpfa_column_problem(i32 nz) {
+  return physics::make_benchmark_problem(Extents3{3, 2, nz}, 7);
+}
+
+/// The memory-over-budget messages of `report`.
+std::vector<std::string> memory_findings(const Report& report) {
+  std::vector<std::string> messages;
+  for (const Diagnostic& d : report.diagnostics) {
+    if (d.check == Check::MemoryOverBudget) {
+      messages.push_back(d.message);
+    }
+  }
+  return messages;
+}
+
+TEST(LintMemoryTest, StrictTpfaLoadRejectsAColumnPastTheBudget) {
+  core::DataflowOptions options;
+  options.lint = Level::Strict;
+  const physics::FlowProblem fits = tpfa_column_problem(kMaxTpfaNz);
+  const core::TpfaLoad load = core::load_dataflow_tpfa(fits, options);
+  const Report report = load.harness->lint_report();
+  EXPECT_EQ(report.error_count(), 0u) << report.describe();
+
+  const physics::FlowProblem deep = tpfa_column_problem(kMaxTpfaNz + 1);
+  try {
+    (void)core::load_dataflow_tpfa(deep, options);
+    FAIL() << "strict lint must reject nz=" << kMaxTpfaNz + 1;
+  } catch (const ContractViolation& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("[memory-over-budget]"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("'scratch columns'"), std::string::npos)
+        << message;
+  }
+}
+
+TEST(LintMemoryTest, LintReportReadsTheLoadedPrograms) {
+  const physics::FlowProblem deep = tpfa_column_problem(kMaxTpfaNz + 1);
+  core::TpfaKernelOptions kernel;
+  const spec::LaunchBindings bindings{
+      std::make_shared<const spec::CompiledSpec>(
+          spec::compile(core::make_tpfa_spec(kernel)))};
+  dataflow::HarnessOptions options;
+  options.lint = Level::Off;
+  auto harness =
+      std::make_unique<dataflow::FabricHarness>(Coord2{3, 2}, options);
+  bindings.compiled->claim_colors(harness->colors(), /*reliability=*/false);
+  {
+    // The factory and everything it captures die before the report.
+    const physics::FluidProperties fluid = deep.fluid();
+    (void)harness->load<core::TpfaPeProgram>(
+        [&](Coord2 coord, Coord2 fabric_size) {
+          return std::make_unique<core::TpfaPeProgram>(
+              coord, fabric_size, deep.extents(), kernel, fluid,
+              core::extract_column(deep, coord.x, coord.y),
+              bindings.compiled);
+        });
+  }
+  const std::vector<std::string> findings =
+      memory_findings(harness->lint_report());
+  ASSERT_EQ(findings.size(), 6u) << "one finding per PE";
+
+  // The strict launch of the same problem reports the same finding.
+  core::DataflowOptions strict;
+  strict.lint = Level::Strict;
+  try {
+    (void)core::load_dataflow_tpfa(deep, strict);
+    FAIL() << "strict lint must reject nz=" << kMaxTpfaNz + 1;
+  } catch (const ContractViolation& e) {
+    for (const std::string& finding : findings) {
+      EXPECT_NE(std::string(e.what()).find(finding), std::string::npos)
+          << finding;
+    }
+  }
 }
 
 // --- the fvf_lint CLI, in-process -------------------------------------------

@@ -49,11 +49,13 @@ struct TpfaRig {
     kernel.iterations = iterations;
     const physics::FluidProperties fluid = problem.fluid();
     const Extents3 ext = problem.extents();
+    const auto compiled = std::make_shared<const spec::CompiledSpec>(
+        spec::compile(core::make_tpfa_spec(kernel)));
     grid = harness.load<core::TpfaPeProgram>([&](Coord2 coord,
                                                  Coord2 fabric_size) {
       return std::make_unique<core::TpfaPeProgram>(
           coord, fabric_size, ext, kernel, fluid,
-          core::extract_column(problem, coord.x, coord.y));
+          core::extract_column(problem, coord.x, coord.y), compiled);
     });
   }
 

@@ -1,7 +1,8 @@
 // Tests of the fvf::spec layer: compile-time validation and error
 // wording, structural digests, the footprint parity between the facade
 // accounting and the compiled spec, bit-identity of the migrated
-// programs across event-engine thread counts, the static-halo hooks
+// programs across event-engine thread counts, one shared CompiledSpec
+// per launch, the static-halo hooks
 // (reductions from start and chained through on_reduced), the heat
 // kernel's serial-oracle differential, strict-lint rejection of defective
 // compiled programs, the bounded LRU executor caches, and the fvf_spec
@@ -15,9 +16,12 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "core/cg_program.hpp"
 #include "core/launcher.hpp"
+#include "core/linear_stencil.hpp"
 #include "core/tpfa_program.hpp"
 #include "core/transport_program.hpp"
+#include "core/wave_program.hpp"
 #include "dataflow/fabric_harness.hpp"
 #include "physics/problem.hpp"
 #include "serve/cache.hpp"
@@ -180,6 +184,63 @@ TEST(SpecThreadIdentityTest, CompiledTransportBitIdenticalAcrossThreads) {
   }
 }
 
+// --- one compiled spec per launch --------------------------------------------
+
+/// Every PE program of the load reads the launch's one CompiledSpec.
+template <typename Load>
+void expect_one_compiled_spec(const Load& load, const char* kernel) {
+  const Coord2 ext = load.harness->extents();
+  const spec::CompiledSpec* shared = &load.grid.at(0, 0).compiled();
+  for (i32 y = 0; y < ext.y; ++y) {
+    for (i32 x = 0; x < ext.x; ++x) {
+      EXPECT_EQ(&load.grid.at(x, y).compiled(), shared)
+          << kernel << " PE(" << x << ',' << y << ')';
+    }
+  }
+}
+
+TEST(SpecLaunchTest, EveryPeOfALaunchSharesOneCompiledSpec) {
+  const physics::FlowProblem problem =
+      physics::make_benchmark_problem(Extents3{4, 3, 2}, 7);
+  const Extents3 ext = problem.extents();
+
+  expect_one_compiled_spec(
+      core::load_dataflow_tpfa(problem, core::DataflowOptions{}), "tpfa");
+
+  const core::LinearStencil implicit =
+      core::build_linear_stencil(problem, 86400.0);
+  Array3<f32> rhs(ext);
+  rhs.fill(1.0f);
+  expect_one_compiled_spec(
+      core::load_dataflow_cg(implicit, rhs, core::DataflowCgOptions{}), "cg");
+
+  Array3<f32> saturation(ext);
+  saturation.fill(0.2f);
+  Array3<f32> well_rate(ext);
+  well_rate.fill(0.0f);
+  core::DataflowTransportOptions transport;
+  transport.kernel.window_seconds = 60.0;
+  transport.kernel.pore_volume = 1.0f;
+  expect_one_compiled_spec(
+      core::load_dataflow_transport(problem, saturation,
+                                    problem.initial_pressure(), well_rate,
+                                    transport),
+      "transport");
+
+  const core::LinearStencil explicit_stencil =
+      core::build_linear_stencil(problem, 3600.0);
+  expect_one_compiled_spec(
+      core::load_dataflow_wave(explicit_stencil,
+                               core::gaussian_pulse(ext, 1.0, 2.0),
+                               core::DataflowWaveOptions{}),
+      "wave");
+
+  expect_one_compiled_spec(
+      spec::load_dataflow_heat(spec::heat_initial_field(ext, 1),
+                               spec::DataflowHeatOptions{}),
+      "heat");
+}
+
 // --- static-halo hooks: reductions from start and chained ------------------
 
 /// One-word halo, optional SUM reduction; everything else minimal.
@@ -259,10 +320,9 @@ class ProbeKernel final : public spec::StencilKernel {
 /// The generated program with its probe kernel exposed to the test.
 class ProbeProgram final : public spec::SpecPeProgram {
  public:
-  ProbeProgram(Coord2 coord, Coord2 fabric_size, bool with_reduction,
+  ProbeProgram(Coord2 coord, Coord2 fabric_size,
                const spec::LaunchBindings& bindings, FirstReduce first)
-      : SpecPeProgram(coord, fabric_size, 1,
-                      spec::compile(probe_spec(with_reduction)), bindings,
+      : SpecPeProgram(coord, fabric_size, 1, bindings,
                       std::make_unique<ProbeKernel>(coord, first)) {}
 
   [[nodiscard]] const ProbeKernel& probe() const noexcept {
@@ -280,10 +340,10 @@ ProbeLoad load_probe(bool with_reduction, FirstReduce first, i32 threads) {
   options.execution.threads = threads;
   return spec::launch<ProbeLoad>(
       probe_spec(with_reduction), Extents3{3, 2, 1}, options, {},
-      [with_reduction, first](Coord2 coord, Coord2 fabric_size,
-                              const spec::LaunchBindings& bindings) {
-        return std::make_unique<ProbeProgram>(coord, fabric_size,
-                                              with_reduction, bindings, first);
+      [first](Coord2 coord, Coord2 fabric_size,
+              const spec::LaunchBindings& bindings) {
+        return std::make_unique<ProbeProgram>(coord, fabric_size, bindings,
+                                              first);
       });
 }
 
@@ -363,16 +423,17 @@ TEST(SpecLintGateTest, DefectiveCompiledProgramFailsStrictLoad) {
   spec::StencilSpec broken = valid_switch_spec();
   broken.name = "defective";
   broken.defects.drop_east_data_handler = true;
-  const spec::CompiledSpec compiled = spec::compile(std::move(broken));
+  const spec::LaunchBindings bindings{
+      std::make_shared<const spec::CompiledSpec>(
+          spec::compile(std::move(broken)))};
 
   dataflow::HarnessOptions options;
   options.lint = lint::Level::Strict;
   dataflow::FabricHarness harness(Coord2{2, 1}, options);
-  compiled.claim_colors(harness.colors(), /*reliability=*/false);
-  const auto factory = [&compiled](Coord2 coord, Coord2 fabric_size) {
-    return std::make_unique<spec::SpecPeProgram>(
-        coord, fabric_size, 1, compiled,
-        spec::SpecPeProgram::LaunchBindings{}, nullptr);
+  bindings.compiled->claim_colors(harness.colors(), /*reliability=*/false);
+  const auto factory = [&bindings](Coord2 coord, Coord2 fabric_size) {
+    return std::make_unique<spec::SpecPeProgram>(coord, fabric_size, 1,
+                                                 bindings, nullptr);
   };
   EXPECT_THROW((void)harness.load<spec::SpecPeProgram>(factory),
                ContractViolation);

@@ -84,7 +84,8 @@ int dump_plan(const spec::KernelInfo& kernel, std::ostream& out) {
 /// runs the full linter (claim audit, routing, handlers, memory).
 int lint_spec(const spec::KernelInfo& kernel, const CliParser& cli,
               std::ostream& out) {
-  const spec::CompiledSpec compiled = kernel.compile_spec();
+  const std::shared_ptr<const spec::CompiledSpec> compiled =
+      std::make_shared<const spec::CompiledSpec>(kernel.compile_spec());
   const bool reliability = cli.has("reliability");
   const i32 nx = static_cast<i32>(cli.get_int("nx", 4));
   const i32 ny = static_cast<i32>(cli.get_int("ny", 3));
@@ -93,29 +94,24 @@ int lint_spec(const spec::KernelInfo& kernel, const CliParser& cli,
                   "fvf_spec: extents must be positive");
 
   auto plan = std::make_shared<dataflow::ColorPlan>();
-  const spec::CompiledSpec::Claims claims =
-      compiled.claim_colors(*plan, reliability);
-  spec::SpecPeProgram::LaunchBindings bindings;
-  bindings.reduce = claims.reduce;
+  spec::LaunchBindings bindings;
+  bindings.compiled = compiled;
+  bindings.reduce = compiled->claim_colors(*plan, reliability).reduce;
   bindings.reliability.enabled = reliability;
 
   wse::Fabric fabric(nx, ny);
-  const wse::ProgramFactory factory =
-      [&compiled, nz, bindings](
-          Coord2 coord, Coord2 fabric_size) -> std::unique_ptr<wse::PeProgram> {
+  fabric.load([&bindings, nz](Coord2 coord, Coord2 fabric_size) {
     return std::make_unique<spec::SpecPeProgram>(coord, fabric_size, nz,
-                                                 compiled, bindings, nullptr);
-  };
-  fabric.load(factory);
+                                                 bindings, nullptr);
+  });
 
   lint::Options options;
-  options.probe_factory = factory;
   options.memory_budget = wse::PeMemory::kDefaultBudget;
   options.color_claimed = [plan](wse::Color c) { return plan->claimed(c); };
   options.color_map = [plan] { return plan->describe(); };
   const lint::Report report = lint::run(fabric, options);
 
-  out << "spec '" << compiled.name() << "' on " << nx << 'x' << ny
+  out << "spec '" << compiled->name() << "' on " << nx << 'x' << ny
       << " fabric (nz=" << nz << "): ";
   if (report.clean()) {
     out << "clean\n";

@@ -1,4 +1,4 @@
-// Cross-backend comparison matrix: every kernel in the spec::registry
+// Cross-backend comparison matrix: every kernel record (api::kernel_records)
 // runs end-to-end on both backends through the fvf::api field-equation
 // entry point — the per-program generalization of bench_table1's
 // TPFA-only WSE-vs-GPU row.

@@ -1,6 +1,7 @@
 #include "api/api.hpp"
 
 #include <bit>
+#include <iterator>
 #include <sstream>
 
 #include "baseline/baseline.hpp"
@@ -8,6 +9,7 @@
 #include "common/timer.hpp"
 #include "core/fabric_impes.hpp"
 #include "core/launcher.hpp"
+#include "core/wave_program.hpp"
 #include "gpusim/occupancy.hpp"
 #include "spec/heat.hpp"
 #include "wse/fault.hpp"
@@ -111,17 +113,28 @@ void tag_fabric(FieldEquationResult& result, const dataflow::RunInfo& info,
 
 // ---------------------------------------------------------------- tpfa --
 
-void tpfa_wse(const Scenario& s, FieldEquationResult& result) {
-  const auto problem = s.problem();
+core::DataflowOptions tpfa_options(const Scenario& s) {
   core::DataflowOptions options;
   options.iterations = s.spec.iterations;
   s.configure(options.execution, options.lint);
+  return options;
+}
+
+void tpfa_wse(const Scenario& s, FieldEquationResult& result) {
+  const auto problem = s.problem();
   WallTimer timer;
-  const core::DataflowResult run = core::run_dataflow_tpfa(*problem, options);
+  const core::DataflowResult run =
+      core::run_dataflow_tpfa(*problem, tpfa_options(s));
   tag_fabric(result, run, timer.seconds());
   result.field = run.residual;
   result.result_digest = digest_pair(run.residual, run.pressure);
   result.work = s.spec.iterations;
+}
+
+/// The switch-protocol exchange has no halo reliability layer.
+lint::Report tpfa_lint(const Scenario& s, bool /*reliability*/) {
+  return core::load_dataflow_tpfa(*s.problem(), tpfa_options(s))
+      .harness->lint_report();
 }
 
 void tpfa_gpusim(const Scenario& s, FieldEquationResult& result) {
@@ -146,15 +159,19 @@ void tpfa_gpusim(const Scenario& s, FieldEquationResult& result) {
 
 // ------------------------------------------------------------------ cg --
 
-void cg_wse(const Scenario& s, FieldEquationResult& result) {
-  const auto setup = s.setup();
+core::DataflowCgOptions cg_options(const Scenario& s) {
   core::DataflowCgOptions options;
   options.kernel.max_iterations = s.spec.iterations;
   options.kernel.relative_tolerance = static_cast<f32>(s.spec.tol);
   s.configure(options.execution, options.lint);
+  return options;
+}
+
+void cg_wse(const Scenario& s, FieldEquationResult& result) {
+  const auto setup = s.setup();
   WallTimer timer;
-  const core::DataflowCgResult run =
-      core::run_dataflow_cg(setup->scaled.stencil, setup->scaled_rhs, options);
+  const core::DataflowCgResult run = core::run_dataflow_cg(
+      setup->scaled.stencil, setup->scaled_rhs, cg_options(s));
   tag_fabric(result, run, timer.seconds());
   result.field = core::unscale_solution(setup->scaled, run.solution);
   result.result_digest = digest_field(kDigestSeed, result.field);
@@ -171,6 +188,15 @@ void cg_wse(const Scenario& s, FieldEquationResult& result) {
        << run.final_residual_norm / run.initial_residual_norm << ")";
     result.error = os.str();
   }
+}
+
+lint::Report cg_lint(const Scenario& s, bool reliability) {
+  const auto setup = s.setup();
+  core::DataflowCgOptions options = cg_options(s);
+  options.reliability.enabled = reliability;
+  return core::load_dataflow_cg(setup->scaled.stencil, setup->scaled_rhs,
+                                options)
+      .harness->lint_report();
 }
 
 void cg_gpusim(const Scenario& s, FieldEquationResult& result) {
@@ -214,22 +240,37 @@ TransportInputs transport_inputs(const Scenario& s) {
   return in;
 }
 
-void transport_wse(const Scenario& s, FieldEquationResult& result) {
-  const TransportInputs in = transport_inputs(s);
+core::DataflowTransportOptions transport_options(const Scenario& s,
+                                                 const TransportInputs& in) {
   core::DataflowTransportOptions options;
   options.kernel.window_seconds = s.spec.dt;
   options.kernel.pore_volume = in.pore_volume;
   s.configure(options.execution, options.lint);
+  return options;
+}
+
+void transport_wse(const Scenario& s, FieldEquationResult& result) {
+  const TransportInputs in = transport_inputs(s);
   WallTimer timer;
   const core::DataflowTransportResult run = core::run_dataflow_transport(
       *in.problem, in.saturation, in.problem->initial_pressure(), in.wells,
-      options);
+      transport_options(s, in));
   tag_fabric(result, run, timer.seconds());
   result.field = run.saturation;
   result.result_digest = digest_field(kDigestSeed, result.field);
   result.work = run.substeps;
   result.summary = {{"substeps", static_cast<f64>(run.substeps)},
                     {"advanced_seconds", run.advanced_seconds}};
+}
+
+lint::Report transport_lint(const Scenario& s, bool reliability) {
+  const TransportInputs in = transport_inputs(s);
+  core::DataflowTransportOptions options = transport_options(s, in);
+  options.reliability.enabled = reliability;
+  return core::load_dataflow_transport(*in.problem, in.saturation,
+                                       in.problem->initial_pressure(),
+                                       in.wells, options)
+      .harness->lint_report();
 }
 
 void transport_gpusim(const Scenario& s, FieldEquationResult& result) {
@@ -255,19 +296,32 @@ Array3<f32> wave_pulse(const FieldEquationSpec& spec) {
   return core::gaussian_pulse(Extents3{spec.nx, spec.ny, spec.nz}, 1.0, 2.0);
 }
 
-void wave_wse(const Scenario& s, FieldEquationResult& result) {
-  const auto setup = s.setup();
+core::DataflowWaveOptions wave_options(const Scenario& s) {
   core::DataflowWaveOptions options;
   options.kernel.timesteps = s.spec.iterations;
   options.kernel.kappa = kWaveKappa;
   s.configure(options.execution, options.lint);
+  return options;
+}
+
+void wave_wse(const Scenario& s, FieldEquationResult& result) {
+  const auto setup = s.setup();
   WallTimer timer;
-  const core::DataflowWaveResult run =
-      core::run_dataflow_wave(setup->scaled.stencil, wave_pulse(s.spec), options);
+  const core::DataflowWaveResult run = core::run_dataflow_wave(
+      setup->scaled.stencil, wave_pulse(s.spec), wave_options(s));
   tag_fabric(result, run, timer.seconds());
   result.field = run.field;
   result.result_digest = digest_field(kDigestSeed, result.field);
   result.work = s.spec.iterations;
+}
+
+lint::Report wave_lint(const Scenario& s, bool reliability) {
+  const auto setup = s.setup();
+  core::DataflowWaveOptions options = wave_options(s);
+  options.reliability.enabled = reliability;
+  return core::load_dataflow_wave(setup->scaled.stencil, wave_pulse(s.spec),
+                                  options)
+      .harness->lint_report();
 }
 
 void wave_gpusim(const Scenario& s, FieldEquationResult& result) {
@@ -349,6 +403,18 @@ void impes_gpusim(const Scenario& s, FieldEquationResult& result) {
                     {"transport_substeps", substeps}};
 }
 
+/// Each IMPES window is a cg launch plus a transport launch on the same
+/// fabric; its report is the union of both loads on the injection problem.
+lint::Report impes_lint(const Scenario& s, bool reliability) {
+  lint::Report combined = cg_lint(s, reliability);
+  lint::Report transport = transport_lint(s, reliability);
+  combined.diagnostics.insert(
+      combined.diagnostics.end(),
+      std::make_move_iterator(transport.diagnostics.begin()),
+      std::make_move_iterator(transport.diagnostics.end()));
+  return combined;
+}
+
 // ---------------------------------------------------------------- heat --
 
 Array3<f32> heat_initial(const FieldEquationSpec& spec) {
@@ -356,18 +422,29 @@ Array3<f32> heat_initial(const FieldEquationSpec& spec) {
                                   spec.seed);
 }
 
-void heat_wse(const Scenario& s, FieldEquationResult& result) {
+spec::DataflowHeatOptions heat_options(const Scenario& s) {
   spec::DataflowHeatOptions options;
   options.kernel.steps = s.spec.iterations;
   s.configure(options.execution, options.lint);
+  return options;
+}
+
+void heat_wse(const Scenario& s, FieldEquationResult& result) {
   WallTimer timer;
   const spec::DataflowHeatResult run =
-      spec::run_dataflow_heat(heat_initial(s.spec), options);
+      spec::run_dataflow_heat(heat_initial(s.spec), heat_options(s));
   tag_fabric(result, run, timer.seconds());
   result.field = run.field;
   result.result_digest = digest_field(kDigestSeed, result.field);
   result.work = run.steps_completed;
   result.summary = {{"steps", static_cast<f64>(run.steps_completed)}};
+}
+
+lint::Report heat_lint(const Scenario& s, bool reliability) {
+  spec::DataflowHeatOptions options = heat_options(s);
+  options.reliability.enabled = reliability;
+  return spec::load_dataflow_heat(heat_initial(s.spec), options)
+      .harness->lint_report();
 }
 
 void heat_gpusim(const Scenario& s, FieldEquationResult& result) {
@@ -384,13 +461,28 @@ void heat_gpusim(const Scenario& s, FieldEquationResult& result) {
 // -------------------------------------------------------------- records --
 
 constexpr KernelRecord kKernels[] = {
-    {"tpfa", 2, 3600.0, ProblemKind::Benchmark, tpfa_wse, tpfa_gpusim},
-    {"cg", 200, 3600.0, ProblemKind::Benchmark, cg_wse, cg_gpusim},
-    {"transport", 1, 900.0, ProblemKind::Benchmark, transport_wse,
-     transport_gpusim},
-    {"wave", 8, 3600.0, ProblemKind::Benchmark, wave_wse, wave_gpusim},
-    {"impes", 3, 900.0, ProblemKind::Injection, impes_wse, impes_gpusim},
-    {"heat", 10, 3600.0, ProblemKind::None, heat_wse, heat_gpusim},
+    {"tpfa", "two-point flux pressure iteration (switch-protocol exchange)",
+     2, 3600.0, ProblemKind::Benchmark,
+     [] { return spec::compile(core::make_tpfa_spec({})); }, tpfa_wse,
+     tpfa_gpusim, tpfa_lint},
+    {"cg", "conjugate-gradient pressure solve with dot-product all-reduce",
+     200, 3600.0, ProblemKind::Benchmark,
+     [] { return spec::compile(core::make_cg_spec({})); }, cg_wse, cg_gpusim,
+     cg_lint},
+    {"transport", "explicit saturation transport with CFL dt min-reduce", 1,
+     900.0, ProblemKind::Benchmark,
+     [] { return spec::compile(core::make_transport_spec({})); },
+     transport_wse, transport_gpusim, transport_lint},
+    {"wave", "second-order acoustic wave kernel (leapfrog)", 8, 3600.0,
+     ProblemKind::Benchmark,
+     [] { return spec::compile(core::make_wave_spec({})); }, wave_wse,
+     wave_gpusim, wave_lint},
+    {"impes", "IMPES pressure/transport loop; runs cg + transport launches",
+     3, 900.0, ProblemKind::Injection, nullptr, impes_wse, impes_gpusim,
+     impes_lint},
+    {"heat", "2D heat diffusion, 9-point stencil", 10, 3600.0,
+     ProblemKind::None, [] { return spec::compile(spec::make_heat_spec({})); },
+     heat_wse, heat_gpusim, heat_lint},
 };
 
 }  // namespace
@@ -461,6 +553,14 @@ FieldEquationResult run_field_equation(const FieldEquationSpec& raw,
     result.summary.emplace_back("gpu_occupancy", result.gpu.occupancy);
   }
   return result;
+}
+
+lint::Report lint_field_equation(const FieldEquationSpec& raw,
+                                 bool reliability) {
+  const FieldEquationSpec spec = resolve_spec(raw);
+  const KernelRecord& record = find_kernel(spec.kernel);
+  const RunContext context;
+  return record.lint(Scenario(spec, record.problem, context), reliability);
 }
 
 Array3<f32> transport_initial_saturation(Extents3 ext) {

@@ -3,11 +3,15 @@
 ///        any registered kernel on either backend and returns a
 ///        backend-tagged result with the shared timing surface.
 ///
-/// Each kernel has one KernelRecord here: its name, default work count
-/// and timestep, the canonical problem it builds, and one runner per
-/// backend. `run_field_equation` is the only place a scenario is built
-/// and dispatched; fvf::serve calls it for every request, lending its
-/// caches, lint level and IMPES window hook through a RunContext. Both
+/// Each kernel has one KernelRecord here, the only kernel inventory: its
+/// name and summary, default work count and timestep, the canonical
+/// problem it builds, its compiled spec (null for the IMPES driver), one
+/// runner per backend and one lint runner. `fvf_spec`, `fvf_lint`, serve
+/// and the benches all read these records. `run_field_equation` is the
+/// only place a scenario is built and dispatched; fvf::serve calls it for
+/// every request, lending its caches, lint level and IMPES window hook
+/// through a RunContext. `lint_field_equation` loads the same scenario
+/// without running it and returns the static verifier's report. Both
 /// backends consume identical inputs and share the physics
 /// (core::transport_face, spec::heat_face_weight,
 /// core::build_impes_pressure_system), so their results agree bitwise
@@ -28,7 +32,9 @@
 #include "core/linear_stencil.hpp"
 #include "dataflow/run_info.hpp"
 #include "gpusim/kernels.hpp"
+#include "lint/lint.hpp"
 #include "physics/problem.hpp"
+#include "spec/compile.hpp"
 
 namespace fvf::core {
 class FabricImpesSimulator;
@@ -163,19 +169,31 @@ class Scenario;
 
 using KernelRunner = void (*)(const Scenario&, FieldEquationResult&);
 
-/// Everything the api knows about one kernel.
+/// Loads the scenario's wse programs without running them (halo
+/// reliability on or off) and returns the full static lint report.
+using KernelLinter = lint::Report (*)(const Scenario&, bool reliability);
+
+/// Everything the api knows about one kernel. Adding a kernel means
+/// adding its record (and its runners) in api.cpp.
 struct KernelRecord {
   std::string_view name;
+  /// One line for `fvf_spec --list-kernels`.
+  std::string_view summary;
   i32 default_iterations;
   /// Seconds. Set even for kernels that ignore dt (tpfa, heat), so the
   /// resolved spec, and serve's scenario hash, never holds a 0 sentinel.
   f64 default_dt;
   ProblemKind problem;
+  /// Builds the default-options CompiledSpec, so the plan can be dumped
+  /// and linted from the spec alone. Null for a driver that runs other
+  /// kernels' launches and has no single spec (IMPES).
+  spec::CompiledSpec (*compile)();
   KernelRunner wse;
   KernelRunner gpusim;
+  KernelLinter lint;
 };
 
-/// Every kernel, in spec::registered_kernels() order.
+/// Every kernel, in inventory order.
 [[nodiscard]] std::span<const KernelRecord> kernel_records() noexcept;
 
 /// The record named `name`. Throws ContractViolation naming the value
@@ -193,6 +211,12 @@ struct KernelRecord {
 [[nodiscard]] FieldEquationResult run_field_equation(
     const FieldEquationSpec& spec, Backend backend,
     const RunContext& context = {});
+
+/// Loads the named kernel's canonical wse scenario without running it
+/// and returns its lint report; IMPES reports its cg and transport
+/// loads together. Throws ContractViolation on an invalid spec.
+[[nodiscard]] lint::Report lint_field_equation(const FieldEquationSpec& spec,
+                                               bool reliability);
 
 // --- canonical scenario inputs and digests ---------------------------------
 

@@ -24,9 +24,8 @@ std::string parse_program_flag(const CliParser& cli,
   for (usize i = 0; i < known.size(); ++i) {
     names << (i == 0 ? "" : ", ") << known[i];
   }
-  FVF_REQUIRE_MSG(false, "unknown --program '"
-                             << program << "' (registered kernels: "
-                             << names.str() << ")");
+  throw ContractViolation("unknown --program '" + program +
+                          "' (registered kernels: " + names.str() + ")");
 }
 
 void apply_verification_flags(HarnessOptions& options, const CliParser& cli) {

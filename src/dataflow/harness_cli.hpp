@@ -12,7 +12,8 @@
 ///                            bit-identical to a run without it
 ///
 /// Parsing them once here keeps the flag names, defaults, and error
-/// text identical across binaries.
+/// text identical across binaries. `--program` is parsed here too, for
+/// the tools (fvf_lint, fvf_spec) that select a kernel record by name.
 #pragma once
 
 #include <iosfwd>
@@ -33,9 +34,12 @@ namespace fvf::dataflow {
 void apply_verification_flags(HarnessOptions& options, const CliParser& cli);
 
 /// Reads `--program` (using `fallback` when the flag is absent) and
-/// validates it against `known`. Throws ContractViolation naming the
-/// unknown value and listing every registered kernel — never silently
-/// defaults. `extra` admits tool-specific pseudo-programs ("all").
+/// validates it against `known`, the kernel names the tool takes from
+/// api::kernel_records() (this layer sits below the api, so the caller
+/// passes them in). Throws ContractViolation "unknown --program '<x>'
+/// (registered kernels: ...)" listing every name in `known` — never
+/// silently defaults. `extra` admits tool-specific pseudo-programs
+/// ("all").
 [[nodiscard]] std::string parse_program_flag(
     const CliParser& cli, std::string_view fallback,
     std::span<const std::string> known,

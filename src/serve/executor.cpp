@@ -16,16 +16,6 @@ namespace fvf::serve {
 
 namespace {
 
-u64 lint_key(const ScenarioRequest& request) {
-  u64 key = fnv1a("lint");
-  key = fnv1a_mix(key, fnv1a(request.kernel));
-  key = fnv1a_mix(key, static_cast<u64>(request.nx));
-  key = fnv1a_mix(key, static_cast<u64>(request.ny));
-  key = fnv1a_mix(key, static_cast<u64>(request.nz));
-  key = fnv1a_mix(key, static_cast<u64>(request.lint));
-  return key;
-}
-
 constexpr i64 kMaxCount = std::numeric_limits<i64>::max();
 
 /// Checkpoint file paths of a long job, named by the scenario hash.
@@ -189,37 +179,16 @@ ScenarioExecutor::ScenarioExecutor()
     : ScenarioExecutor(kDefaultCacheEntries) {}
 
 ScenarioExecutor::ScenarioExecutor(usize cache_entries)
-    : problems_(cache_entries),
-      setups_(cache_entries),
-      lint_passes_(cache_entries) {}
+    : problems_(cache_entries), setups_(cache_entries) {}
 
 ExecutorStats ScenarioExecutor::stats() const {
   ExecutorStats stats;
   stats.problems = problems_.stats();
   stats.setups = setups_.stats();
-  stats.lint = lint_passes_.stats();
   stats.simulations = simulations_.load();
   stats.checkpoints_saved = checkpoints_saved_.load();
   stats.resumes = resumes_.load();
   return stats;
-}
-
-lint::Level ScenarioExecutor::effective_lint(const ScenarioRequest& request) {
-  if (request.lint == lint::Level::Off) {
-    return lint::Level::Off;
-  }
-  // A clean verification is a property of the program shape; once one
-  // request verified it, identical shapes skip the verifier entirely.
-  if (lint_passes_.lookup(lint_key(request)) != nullptr) {
-    return lint::Level::Off;
-  }
-  return request.lint;
-}
-
-void ScenarioExecutor::record_lint_pass(const ScenarioRequest& request) {
-  if (request.lint != lint::Level::Off) {
-    lint_passes_.insert(lint_key(request), true);
-  }
 }
 
 ScenarioResponse ScenarioExecutor::execute(const ScenarioRequest& raw,
@@ -246,7 +215,7 @@ ScenarioResponse ScenarioExecutor::execute(const ScenarioRequest& raw,
                           const std::function<api::LinearSetup()>& build) {
         return setups_.get_or_build(key, build);
       };
-      run.lint = effective_lint(request);
+      run.lint = request.lint;
       run.impes = &impes;
     }
     const api::FieldEquationResult result = api::run_field_equation(
@@ -269,10 +238,6 @@ ScenarioResponse ScenarioExecutor::execute(const ScenarioRequest& raw,
     if (!result.error.empty()) {
       response.status = RequestStatus::Failed;
       response.error = result.error;
-    } else if (wse) {
-      // A gpusim run proves nothing about the fabric shape, so only wse
-      // runs record a lint pass.
-      record_lint_pass(request);
     }
   } catch (const std::exception& error) {
     response.status = RequestStatus::Failed;

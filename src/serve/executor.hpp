@@ -3,18 +3,21 @@
 ///        on either backend, sharing the expensive setup across requests.
 ///
 /// The executor lends a wse run what only serve owns: its caches, the
-/// lint level its lint-pass cache chooses, and an IMPES window hook for
-/// deadlines and checkpoints. Three content-hash cache layers sit between
-/// a request and the fabric kernels:
+/// request's lint level, and an IMPES window hook for deadlines and
+/// checkpoints. Two content-hash cache layers sit between a request and
+/// the fabric kernels:
 ///
 ///   - **problem cache** — geomodel + mesh + transmissibility
 ///     construction (physics::FlowProblem), keyed by extents/seed/kind;
 ///   - **setup cache** — the linearized pressure system (api::LinearSetup)
-///     shared by the CG and wave scenarios, keyed by problem + dt;
-///   - **lint cache** — successful static verification (routing graphs,
-///     memory budgets, switch hazards are a property of program
-///     structure, not data), keyed by kernel/extents/level, so only the
-///     first wse request of a shape pays for fvf::lint.
+///     shared by the CG and wave scenarios, keyed by problem + dt.
+///
+/// A request's `lint` level goes to the run as asked. `spec::launch`
+/// strict-lints the first load of every program shape in the process and
+/// remembers the pass (keyed by shape digest, extents, column depth,
+/// memory budget and reliability), so a request with `lint=off` pays for
+/// lint only on a new shape, and an explicit `lint=warn|strict` lints
+/// every time.
 ///
 /// Full-result memoization lives above this layer, in ScenarioService.
 /// The executor also implements checkpoint/restore of long IMPES jobs
@@ -48,7 +51,6 @@ struct ExecutionContext {
 struct ExecutorStats {
   CacheStats problems;
   CacheStats setups;
-  CacheStats lint;
   /// Scenario executions that reached a fabric launch (cold runs).
   u64 simulations = 0;
   u64 checkpoints_saved = 0;
@@ -79,15 +81,8 @@ class ScenarioExecutor {
   [[nodiscard]] ExecutorStats stats() const;
 
  private:
-  /// The lint level the run should use: the request's level on first
-  /// sight of a (kernel, extents, level) shape, Off once that shape has
-  /// verified cleanly before. record_lint_pass() marks the shape clean.
-  [[nodiscard]] lint::Level effective_lint(const ScenarioRequest& request);
-  void record_lint_pass(const ScenarioRequest& request);
-
   HashCache<physics::FlowProblem> problems_;
   HashCache<api::LinearSetup> setups_;
-  HashCache<bool> lint_passes_;
   std::atomic<u64> simulations_{0};
   std::atomic<u64> checkpoints_saved_{0};
   std::atomic<u64> resumes_{0};

@@ -10,7 +10,6 @@
 #include "api/api.hpp"
 #include "api/backend.hpp"
 #include "common/assert.hpp"
-#include "core/kernel_registry.hpp"
 #include "core/linear_stencil.hpp"
 #include "core/transport_program.hpp"
 #include "core/wave_program.hpp"
@@ -21,7 +20,6 @@
 #include "serve/request.hpp"
 #include "serve/service.hpp"
 #include "spec/heat.hpp"
-#include "spec/registry.hpp"
 
 namespace fvf {
 namespace {
@@ -308,18 +306,17 @@ i32 parity_iterations(const std::string& kernel) {
 }
 
 TEST(FieldEquationApiTest, EveryRegistryKernelRunsOnBothBackends) {
-  core::register_builtin_kernels();
   i32 kernels_checked = 0;
-  for (const spec::KernelInfo& kernel : spec::registered_kernels()) {
+  for (const api::KernelRecord& record : api::kernel_records()) {
+    const std::string kernel(record.name);
     api::FieldEquationSpec spec;
-    spec.kernel = kernel.name;
+    spec.kernel = kernel;
     spec.nx = 6;
     spec.ny = 6;
     spec.nz = 3;
-    spec.iterations = parity_iterations(kernel.name);
-    spec.dt = (kernel.name == "transport" || kernel.name == "impes")
-                  ? 900.0
-                  : 3600.0;
+    spec.iterations = parity_iterations(kernel);
+    spec.dt =
+        (kernel == "transport" || kernel == "impes") ? 900.0 : 3600.0;
 
     const api::FieldEquationResult wse =
         api::run_field_equation(spec, api::Backend::Wse);
@@ -328,21 +325,21 @@ TEST(FieldEquationApiTest, EveryRegistryKernelRunsOnBothBackends) {
 
     EXPECT_EQ(wse.backend, api::Backend::Wse);
     EXPECT_EQ(gpu.backend, api::Backend::Gpusim);
-    ASSERT_EQ(wse.field.extents(), gpu.field.extents()) << kernel.name;
-    EXPECT_NE(wse.result_digest, 0u) << kernel.name;
-    EXPECT_NE(gpu.result_digest, 0u) << kernel.name;
-    EXPECT_GT(wse.device_seconds, 0.0) << kernel.name;
-    EXPECT_GT(gpu.device_seconds, 0.0) << kernel.name;
-    EXPECT_GT(gpu.gpu.kernels_launched, 0u) << kernel.name;
+    ASSERT_EQ(wse.field.extents(), gpu.field.extents()) << kernel;
+    EXPECT_NE(wse.result_digest, 0u) << kernel;
+    EXPECT_NE(gpu.result_digest, 0u) << kernel;
+    EXPECT_GT(wse.device_seconds, 0.0) << kernel;
+    EXPECT_GT(gpu.device_seconds, 0.0) << kernel;
+    EXPECT_GT(gpu.gpu.kernels_launched, 0u) << kernel;
 
-    if (bitwise_kernel(kernel.name)) {
+    if (bitwise_kernel(kernel)) {
       EXPECT_EQ(wse.result_digest, gpu.result_digest)
-          << kernel.name << ": order-insensitive kernels must agree bitwise";
+          << kernel << ": order-insensitive kernels must agree bitwise";
       expect_bitwise_equal(wse.field, gpu.field);
     } else {
       // f32 sum reductions: raster order (gpusim) vs tree / arrival
       // order (fabric) agree to reduction tolerance only.
-      EXPECT_LT(max_rel_diff(wse.field, gpu.field), 1e-3) << kernel.name;
+      EXPECT_LT(max_rel_diff(wse.field, gpu.field), 1e-3) << kernel;
     }
     ++kernels_checked;
   }
@@ -350,7 +347,6 @@ TEST(FieldEquationApiTest, EveryRegistryKernelRunsOnBothBackends) {
 }
 
 TEST(FieldEquationApiTest, ResultsAreDeterministicPerBackend) {
-  core::register_builtin_kernels();
   api::FieldEquationSpec spec;
   spec.kernel = "cg";
   spec.nx = 6;
@@ -380,18 +376,13 @@ std::string thrown_message(Fn&& call) {
 }
 
 TEST(FieldEquationApiTest, UnknownKernelFailsLoudlyWithInventory) {
-  // The api records and the spec registry are one inventory, in one
-  // order, and serve accepts every name of it.
-  core::register_builtin_kernels();
-  const std::vector<spec::KernelInfo> registry = spec::registered_kernels();
-  ASSERT_EQ(api::kernel_records().size(), registry.size());
+  // Serve accepts every name of the kernel records.
   std::string inventory;
-  for (usize k = 0; k < registry.size(); ++k) {
-    const std::string_view name = api::kernel_records()[k].name;
-    EXPECT_EQ(name, registry[k].name);
+  for (const api::KernelRecord& record : api::kernel_records()) {
+    const std::string_view name = record.name;
     EXPECT_EQ(serve::parse_request("program=" + std::string(name)).kernel,
               name);
-    inventory += (k == 0 ? "" : "|") + std::string(name);
+    inventory += (inventory.empty() ? "" : "|") + std::string(name);
   }
 
   // An unknown name fails with the full inventory, through one message,

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "api/api.hpp"
 #include "common/assert.hpp"
 #include "core/cg_program.hpp"
 #include "core/launcher.hpp"
@@ -419,6 +420,27 @@ TEST(LintCliTest, JsonProgramModeListsCleanPrograms) {
                          "\"warnings\": 0, \"diagnostics\": []"),
             std::string::npos)
       << run.out;
+}
+
+TEST(LintCliTest, ProgramAllLintsEveryKernelRecord) {
+  // fvf_lint takes its inventory from the kernel records: --program all
+  // lints exactly the records, in record order, and each is clean.
+  std::string expected = "{\"programs\": [";
+  for (const api::KernelRecord& record : api::kernel_records()) {
+    expected += &record == api::kernel_records().data() ? "\n" : ",\n";
+    expected += "  {\"name\": \"" + std::string(record.name) +
+                "\", \"errors\": 0, \"warnings\": 0, \"diagnostics\": []}";
+  }
+  expected += "\n]}\n";
+  for (const bool reliability : {false, true}) {
+    std::vector<const char*> args = {"--program", "all", "--json"};
+    if (reliability) {
+      args.push_back("--reliability");
+    }
+    const CliRun run = run_cli(args);
+    EXPECT_EQ(run.code, 0) << run.err;
+    EXPECT_EQ(run.out, expected) << "reliability=" << reliability;
+  }
 }
 
 TEST(LintCliTest, ShippedProgramsExitZero) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "api/api.hpp"
 #include "common/assert.hpp"
 #include "core/cg_program.hpp"
 #include "core/launcher.hpp"
@@ -501,9 +502,15 @@ CliRun run_spec_cli(std::vector<const char*> args) {
 TEST(SpecCliTest, ListKernelsShowsTheFullInventory) {
   const CliRun run = run_spec_cli({"--list-kernels"});
   EXPECT_EQ(run.code, 0) << run.err;
-  for (const char* name : {"tpfa", "cg", "transport", "wave", "impes",
-                           "heat"}) {
-    EXPECT_NE(run.out.find(name), std::string::npos) << run.out;
+  // One line per kernel record: its name, its tag and its summary.
+  for (const api::KernelRecord& record : api::kernel_records()) {
+    const usize at = run.out.find("  " + std::string(record.name) + " ");
+    ASSERT_NE(at, std::string::npos) << run.out;
+    const std::string line = run.out.substr(at, run.out.find('\n', at) - at);
+    EXPECT_NE(line.find(record.compile != nullptr ? "[spec]" : "[driver]"),
+              std::string::npos)
+        << line;
+    EXPECT_NE(line.find(record.summary), std::string::npos) << line;
   }
   EXPECT_NE(run.out.find("[spec]"), std::string::npos);
   EXPECT_NE(run.out.find("[driver]"), std::string::npos);
@@ -519,9 +526,13 @@ TEST(SpecCliTest, DumpPlanPrintsTheLoweringSummary) {
 }
 
 TEST(SpecCliTest, LintExitsZeroOnEverySpecKernel) {
-  for (const char* name : {"tpfa", "cg", "transport", "wave", "heat"}) {
+  for (const api::KernelRecord& record : api::kernel_records()) {
+    if (record.compile == nullptr) {
+      continue;
+    }
+    const std::string name(record.name);
     for (const bool reliability : {false, true}) {
-      std::vector<const char*> args = {"--lint", "--program", name};
+      std::vector<const char*> args = {"--lint", "--program", name.c_str()};
       if (reliability) {
         args.push_back("--reliability");
       }

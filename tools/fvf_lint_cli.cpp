@@ -5,121 +5,36 @@
 #include <string>
 #include <vector>
 
+#include "api/api.hpp"
 #include "common/cli.hpp"
-#include "core/cg_program.hpp"
-#include "core/kernel_registry.hpp"
-#include "core/launcher.hpp"
-#include "core/linear_stencil.hpp"
-#include "core/transport_program.hpp"
-#include "core/wave_program.hpp"
 #include "dataflow/harness_cli.hpp"
 #include "lint/defects.hpp"
 #include "lint/lint.hpp"
-#include "physics/problem.hpp"
-#include "spec/heat.hpp"
-#include "spec/registry.hpp"
 
 namespace fvf::tools {
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: fvf_lint [--program all|tpfa|cg|transport|wave|impes|heat]\n"
-    "                [--nx N --ny N --nz N] [--lint warn|strict]\n"
-    "                [--reliability] [--seed S] [--json]\n"
-    "       fvf_lint --defect-corpus\n"
-    "       fvf_lint --defect <name> [--json]\n";
+/// The usage text; --program lists every kernel record.
+std::string usage() {
+  std::string text = "usage: fvf_lint [--program all";
+  for (const api::KernelRecord& record : api::kernel_records()) {
+    text += '|';
+    text += record.name;
+  }
+  text +=
+      "]\n"
+      "                [--nx N --ny N --nz N] [--lint warn|strict]\n"
+      "                [--reliability] [--seed S] [--json]\n"
+      "       fvf_lint --defect-corpus\n"
+      "       fvf_lint --defect <name> [--json]\n";
+  return text;
+}
 
 struct LintJob {
   std::string name;
   lint::Report report;
 };
-
-/// What the CLI lints for each shipped program: the load half of the
-/// launch pipeline (colors claimed, routers configured, programs bound),
-/// then the full static verifier via FabricHarness::lint_report.
-struct Fixture {
-  physics::FlowProblem problem;
-  core::LinearStencil stencil;
-  Array3<f32> ones;
-
-  Fixture(Extents3 extents, u64 seed)
-      : problem([&] {
-          physics::ProblemSpec spec;
-          spec.extents = extents;
-          spec.spacing = mesh::Spacing3{25.0, 25.0, 4.0};
-          spec.geomodel = physics::GeomodelKind::Lognormal;
-          spec.seed = seed;
-          return physics::FlowProblem(spec);
-        }()),
-        stencil(core::build_linear_stencil(problem, 86400.0)),
-        ones(extents) {
-    ones.fill(1.0f);
-  }
-};
-
-[[nodiscard]] lint::Report lint_tpfa(const Fixture& fx) {
-  const core::DataflowOptions options;
-  const core::TpfaLoad load = core::load_dataflow_tpfa(fx.problem, options);
-  return load.harness->lint_report();
-}
-
-[[nodiscard]] lint::Report lint_cg(const Fixture& fx, bool reliability) {
-  core::DataflowCgOptions options;
-  options.reliability.enabled = reliability;
-  const core::CgLoad load = core::load_dataflow_cg(fx.stencil, fx.ones,
-                                                   options);
-  return load.harness->lint_report();
-}
-
-[[nodiscard]] lint::Report lint_transport(const Fixture& fx,
-                                          bool reliability) {
-  core::DataflowTransportOptions options;
-  options.kernel.window_seconds = 60.0;
-  options.kernel.pore_volume = 1.0f;
-  options.reliability.enabled = reliability;
-  const Extents3 ext = fx.problem.extents();
-  Array3<f32> saturation(ext);
-  saturation.fill(0.0f);
-  Array3<f32> well_rate(ext);
-  well_rate.fill(0.0f);
-  const core::TransportLoad load = core::load_dataflow_transport(
-      fx.problem, saturation, fx.problem.initial_pressure(), well_rate,
-      options);
-  return load.harness->lint_report();
-}
-
-[[nodiscard]] lint::Report lint_wave(const Fixture& fx, bool reliability) {
-  core::DataflowWaveOptions options;
-  options.reliability.enabled = reliability;
-  const Array3<f32> initial =
-      core::gaussian_pulse(fx.problem.extents(), 1.0, 2.0);
-  const core::WaveLoad load =
-      core::load_dataflow_wave(fx.stencil, initial, options);
-  return load.harness->lint_report();
-}
-
-[[nodiscard]] lint::Report lint_heat(const Fixture& fx, bool reliability) {
-  spec::DataflowHeatOptions options;
-  options.reliability.enabled = reliability;
-  const Array3<f32> field =
-      spec::heat_initial_field(fx.problem.extents(), 7);
-  const spec::HeatLoad load = spec::load_dataflow_heat(field, options);
-  return load.harness->lint_report();
-}
-
-/// The IMPES loop is the CG pressure solve plus the transport window on
-/// the same fabric geometry; its static verification is the union of
-/// both launches (with the IMPES solver settings).
-[[nodiscard]] lint::Report lint_impes(const Fixture& fx, bool reliability) {
-  lint::Report combined = lint_cg(fx, reliability);
-  lint::Report transport = lint_transport(fx, reliability);
-  combined.diagnostics.insert(
-      combined.diagnostics.end(),
-      std::make_move_iterator(transport.diagnostics.begin()),
-      std::make_move_iterator(transport.diagnostics.end()));
-  return combined;
-}
 
 /// Minimal JSON string escaping: quotes, backslashes, and control bytes
 /// (diagnostic messages never carry anything beyond printable ASCII, but
@@ -261,7 +176,7 @@ int fvf_lint_cli(int argc, const char* const* argv, std::ostream& out,
   try {
     const CliParser cli(argc, argv);
     if (cli.has("help")) {
-      out << kUsage;
+      out << usage();
       return 0;
     }
     if (cli.has("defect-corpus")) {
@@ -278,14 +193,13 @@ int fvf_lint_cli(int argc, const char* const* argv, std::ostream& out,
       level = lint::Level::Warn;
     } else if (level_name != "strict") {
       err << "fvf_lint: unknown --lint level '" << level_name << "'\n"
-          << kUsage;
+          << usage();
       return 2;
     }
 
-    core::register_builtin_kernels();
     std::vector<std::string> known;
-    for (const spec::KernelInfo& kernel : spec::registered_kernels()) {
-      known.push_back(kernel.name);
+    for (const api::KernelRecord& record : api::kernel_records()) {
+      known.emplace_back(record.name);
     }
     constexpr std::string_view kAll[] = {"all"};
     const std::string program =
@@ -293,35 +207,23 @@ int fvf_lint_cli(int argc, const char* const* argv, std::ostream& out,
     const std::vector<std::string> selected =
         program == "all" ? known : std::vector<std::string>{program};
 
-    const Extents3 extents{static_cast<i32>(cli.get_int("nx", 6)),
-                           static_cast<i32>(cli.get_int("ny", 5)),
-                           static_cast<i32>(cli.get_int("nz", 4))};
-    if (extents.nx < 1 || extents.ny < 1 || extents.nz < 1) {
-      err << "fvf_lint: extents must be positive\n" << kUsage;
+    // Each program is linted as the scenario run_field_equation runs:
+    // its canonical inputs at these extents and seed, loaded, not run.
+    api::FieldEquationSpec scenario;
+    scenario.nx = static_cast<i32>(cli.get_int("nx", 6));
+    scenario.ny = static_cast<i32>(cli.get_int("ny", 5));
+    scenario.nz = static_cast<i32>(cli.get_int("nz", 4));
+    if (scenario.nx < 1 || scenario.ny < 1 || scenario.nz < 1) {
+      err << "fvf_lint: extents must be positive\n" << usage();
       return 2;
     }
-    const u64 seed = static_cast<u64>(cli.get_int("seed", 42));
+    scenario.seed = static_cast<u64>(cli.get_int("seed", 42));
     const bool reliability = cli.has("reliability");
-    const Fixture fx(extents, seed);
 
     std::vector<LintJob> jobs;
     for (const std::string& name : selected) {
-      LintJob job;
-      job.name = name;
-      if (name == "tpfa") {
-        job.report = lint_tpfa(fx);
-      } else if (name == "cg") {
-        job.report = lint_cg(fx, reliability);
-      } else if (name == "transport") {
-        job.report = lint_transport(fx, reliability);
-      } else if (name == "wave") {
-        job.report = lint_wave(fx, reliability);
-      } else if (name == "heat") {
-        job.report = lint_heat(fx, reliability);
-      } else {
-        job.report = lint_impes(fx, reliability);
-      }
-      jobs.push_back(std::move(job));
+      scenario.kernel = name;
+      jobs.push_back({name, api::lint_field_equation(scenario, reliability)});
     }
 
     usize errors = 0;
@@ -340,8 +242,8 @@ int fvf_lint_cli(int argc, const char* const* argv, std::ostream& out,
         write_report_json(out, job.report, "    ", "  ");
         out << "}";
       } else {
-        out << "program " << job.name << " (" << extents.nx << 'x'
-            << extents.ny << 'x' << extents.nz << "): ";
+        out << "program " << job.name << " (" << scenario.nx << 'x'
+            << scenario.ny << 'x' << scenario.nz << "): ";
         if (job.report.clean()) {
           out << "clean\n";
         } else {

@@ -72,8 +72,6 @@ void write_stats_json(std::ostream& os, const serve::ServiceStats& stats) {
      << ",\n"
      << "  \"setup_cache_evictions\": " << stats.executor.setups.evictions
      << ",\n"
-     << "  \"lint_cache_evictions\": " << stats.executor.lint.evictions
-     << ",\n"
      << "  \"checkpoints_saved\": " << stats.executor.checkpoints_saved
      << ",\n"
      << "  \"resumes\": " << stats.executor.resumes << "\n"

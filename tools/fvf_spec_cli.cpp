@@ -6,14 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "api/api.hpp"
 #include "common/assert.hpp"
 #include "common/cli.hpp"
-#include "core/kernel_registry.hpp"
 #include "dataflow/color_plan.hpp"
 #include "dataflow/harness_cli.hpp"
 #include "lint/lint.hpp"
 #include "spec/program.hpp"
-#include "spec/registry.hpp"
 #include "wse/fabric.hpp"
 #include "wse/memory.hpp"
 
@@ -29,29 +28,30 @@ constexpr const char* kUsage =
 
 int list_kernels(std::ostream& out) {
   out << "registered kernels:\n";
-  for (const spec::KernelInfo& kernel : spec::registered_kernels()) {
+  for (const api::KernelRecord& kernel : api::kernel_records()) {
     out << "  " << std::left << std::setw(10) << kernel.name
-        << (kernel.compile_spec ? "[spec]   " : "[driver] ") << kernel.summary
-        << "\n";
+        << (kernel.compile != nullptr ? "[spec]   " : "[driver] ")
+        << kernel.summary << "\n";
   }
   return 0;
 }
 
-/// Resolves --program against the registry and requires a compiled spec.
-[[nodiscard]] spec::KernelInfo require_compiled(const CliParser& cli,
-                                                std::ostream& err,
-                                                bool& failed) {
+/// Resolves --program against the kernel records and requires a
+/// compiled spec.
+[[nodiscard]] const api::KernelRecord& require_compiled(const CliParser& cli,
+                                                        std::ostream& err,
+                                                        bool& failed) {
   std::vector<std::string> known;
-  for (const spec::KernelInfo& kernel : spec::registered_kernels()) {
-    known.push_back(kernel.name);
+  for (const api::KernelRecord& kernel : api::kernel_records()) {
+    known.emplace_back(kernel.name);
   }
   const std::string name = dataflow::parse_program_flag(cli, "", known);
-  spec::KernelInfo kernel = spec::find_kernel(name);
-  if (kernel.compile_spec == nullptr) {
+  const api::KernelRecord& kernel = api::find_kernel(name);
+  if (kernel.compile == nullptr) {
     err << "fvf_spec: '" << name << "' is a driver with no single spec to "
         << "lower (" << kernel.summary << "; spec kernels:";
-    for (const spec::KernelInfo& k : spec::registered_kernels()) {
-      if (k.compile_spec) {
+    for (const api::KernelRecord& k : api::kernel_records()) {
+      if (k.compile != nullptr) {
         err << ' ' << k.name;
       }
     }
@@ -61,8 +61,8 @@ int list_kernels(std::ostream& out) {
   return kernel;
 }
 
-int dump_plan(const spec::KernelInfo& kernel, std::ostream& out) {
-  const spec::CompiledSpec compiled = kernel.compile_spec();
+int dump_plan(const api::KernelRecord& kernel, std::ostream& out) {
+  const spec::CompiledSpec compiled = kernel.compile();
   out << compiled.describe();
 
   dataflow::ColorPlan plan;
@@ -82,10 +82,10 @@ int dump_plan(const spec::KernelInfo& kernel, std::ostream& out) {
 /// Static verification from the spec alone: claims the colors on a fresh
 /// plan, loads a kernel-less generated program onto a small fabric, and
 /// runs the full linter (claim audit, routing, handlers, memory).
-int lint_spec(const spec::KernelInfo& kernel, const CliParser& cli,
+int lint_spec(const api::KernelRecord& kernel, const CliParser& cli,
               std::ostream& out) {
   const std::shared_ptr<const spec::CompiledSpec> compiled =
-      std::make_shared<const spec::CompiledSpec>(kernel.compile_spec());
+      std::make_shared<const spec::CompiledSpec>(kernel.compile());
   const bool reliability = cli.has("reliability");
   const i32 nx = static_cast<i32>(cli.get_int("nx", 4));
   const i32 ny = static_cast<i32>(cli.get_int("ny", 3));
@@ -129,7 +129,6 @@ int fvf_spec_cli(int argc, const char* const* argv, std::ostream& out,
                  std::ostream& err) {
   try {
     const CliParser cli(argc, argv);
-    core::register_builtin_kernels();
     if (cli.has("help")) {
       out << kUsage;
       return 0;
@@ -139,7 +138,7 @@ int fvf_spec_cli(int argc, const char* const* argv, std::ostream& out,
     }
     if (cli.has("dump-plan") || cli.has("lint")) {
       bool failed = false;
-      const spec::KernelInfo kernel = require_compiled(cli, err, failed);
+      const api::KernelRecord& kernel = require_compiled(cli, err, failed);
       if (failed) {
         return 2;
       }

@@ -109,12 +109,16 @@ class Linter {
     if (options_.check_reconfiguration) {
       check_reconfiguration(color);
     }
+    const ColorGraph graph(fabric_, color);
     if (!options_.check_routing) {
+      // The flow analyses still need to know which colors are cyclic.
+      if (options_.check_flow) {
+        check_cycles(graph, color, /*report=*/false);
+      }
       return;
     }
-    const ColorGraph graph(fabric_, color);
     check_dead_ends(graph, color);
-    check_cycles(graph, color);
+    check_cycles(graph, color, /*report=*/true);
     check_sends(graph, color);
   }
 
@@ -189,7 +193,7 @@ class Linter {
 
   /// Depth-first search over the union routing graph; reports the first
   /// cycle found per color (one finding is enough to localize the knot).
-  void check_cycles(const ColorGraph& graph, Color color) {
+  void check_cycles(const ColorGraph& graph, Color color, bool report) {
     enum class Mark : u8 { White, Gray, Black };
     std::vector<Mark> mark(graph.node_count(), Mark::White);
     std::vector<std::vector<usize>> succ(graph.node_count());
@@ -236,7 +240,9 @@ class Linter {
         const usize target = next[frame.next++];
         if (mark[target] == Mark::Gray) {
           cyclic_colors_[color.id()] = true;
-          report_cycle(graph, color, stack, target);
+          if (report) {
+            report_cycle(graph, color, stack, target);
+          }
           return;  // one cycle per color
         }
         if (mark[target] == Mark::White) {

@@ -9,6 +9,7 @@
 //   FVF_UPDATE_GOLDEN=1 ./build/tests/lint_test
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -26,6 +27,7 @@
 #include "core/wave_program.hpp"
 #include "dataflow/fabric_harness.hpp"
 #include "lint/defects.hpp"
+#include "lint/flow.hpp"
 #include "lint/lint.hpp"
 #include "physics/problem.hpp"
 #include "spec/compile.hpp"
@@ -456,6 +458,336 @@ TEST(LintCliTest, ShippedProgramsExitZero) {
                            " (3x3x2): clean"),
               std::string::npos)
       << name << "\n" << run.out;
+  }
+}
+
+
+// --- random-routing differential corpus --------------------------------------
+
+/// SplitMix64: a portable seeded stream. The corpus is pinned byte for
+/// byte, and the standard distributions differ between libraries.
+class CorpusRng {
+ public:
+  explicit CorpusRng(u64 seed) : state_(seed) {}
+  u64 next() {
+    u64 z = (state_ += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  u32 below(u32 n) { return static_cast<u32>(next() % n); }
+  bool chance(u32 percent) { return below(100) < percent; }
+
+ private:
+  u64 state_;
+};
+
+constexpr wse::Dir kCorpusDirs[] = {wse::Dir::North, wse::Dir::East,
+                                    wse::Dir::South, wse::Dir::West,
+                                    wse::Dir::Ramp};
+
+/// Everything one PE of a corpus fabric declares.
+struct CorpusPe {
+  /// Installed in order; a color may appear twice (switch-reconfigured).
+  std::vector<std::pair<wse::Color, wse::ColorConfig>> configs;
+  std::vector<wse::SendDeclaration> sends;
+  std::vector<wse::ChannelDependency> deps;
+  std::vector<wse::ReductionDeclaration> reductions;
+  u32 unhandled_data = 0;     ///< color bits handles_color(c, false) rejects
+  u32 unhandled_control = 0;  ///< color bits handles_color(c, true) rejects
+  u32 noted = 0;              ///< color bits describe_channel annotates
+  usize memory = 0;
+};
+
+class CorpusProgram final : public wse::PeProgram {
+ public:
+  explicit CorpusProgram(const CorpusPe& pe) : pe_(pe) {}
+  void configure_router(wse::Router& router) override {
+    for (const auto& [color, config] : pe_.configs) {
+      router.configure(color, config);
+    }
+  }
+  void reserve_memory(wse::PeMemory& mem) const override {
+    if (pe_.memory != 0) {
+      mem.reserve(pe_.memory / 2, "corpus state");
+      mem.reserve(pe_.memory - pe_.memory / 2, "corpus scratch");
+    }
+  }
+  [[nodiscard]] bool handles_color(wse::Color color,
+                                   bool control) const override {
+    const u32 mask = control ? pe_.unhandled_control : pe_.unhandled_data;
+    return (mask & (u32{1} << color.id())) == 0;
+  }
+  [[nodiscard]] std::vector<wse::SendDeclaration> send_declarations()
+      const override {
+    return pe_.sends;
+  }
+  [[nodiscard]] std::vector<wse::ChannelDependency> channel_dependencies()
+      const override {
+    return pe_.deps;
+  }
+  [[nodiscard]] std::vector<wse::ReductionDeclaration>
+  reduction_declarations() const override {
+    return pe_.reductions;
+  }
+  [[nodiscard]] std::string describe_channel(
+      wse::Color color) const override {
+    if ((pe_.noted & (u32{1} << color.id())) == 0) {
+      return {};
+    }
+    return "declared by corpus field c" + std::to_string(color.id());
+  }
+  void on_start(wse::PeApi&) override {}
+  void on_data(wse::PeApi&, wse::Color, wse::Dir,
+               std::span<const u32>) override {}
+
+ private:
+  CorpusPe pe_;
+};
+
+/// A random switch position. Most rules relay along `bias`: inject from
+/// the Ramp, forward what arrives from upstream and deliver it. With
+/// `noise` percent, inputs and outputs are arbitrary instead, so cycles,
+/// dead ends and parked inputs all occur.
+wse::SwitchPosition random_position(CorpusRng& rng, wse::Dir bias,
+                                    u32 noise) {
+  const wse::Dir upstream = wse::opposite(bias);
+  wse::SwitchPosition pos;
+  for (const wse::Dir input : kCorpusDirs) {
+    const bool relay = input == wse::Dir::Ramp || input == upstream;
+    if (!rng.chance(relay ? 92 : noise / 2)) {
+      continue;
+    }
+    wse::RouteRule rule{input, {}};
+    const u32 fanout = 1 + rng.below(3);
+    for (u32 i = 0; i < fanout; ++i) {
+      wse::Dir out = kCorpusDirs[rng.below(5)];
+      if (relay && !rng.chance(noise)) {
+        out = i == 0 && input == wse::Dir::Ramp ? bias
+              : i == 0                          ? wse::Dir::Ramp
+                                                : bias;
+      }
+      if (std::find(rule.outputs.begin(), rule.outputs.end(), out) ==
+          rule.outputs.end()) {
+        rule.outputs.push_back(out);
+      }
+    }
+    pos.rules.push_back(std::move(rule));
+  }
+  return pos;
+}
+
+wse::ColorConfig random_config(CorpusRng& rng, wse::Dir bias, u32 noise) {
+  std::vector<wse::SwitchPosition> positions;
+  const u32 count = 1 + rng.below(3);
+  for (u32 i = 0; i < count; ++i) {
+    positions.push_back(random_position(rng, bias, noise));
+  }
+  return wse::ColorConfig(std::move(positions));
+}
+
+struct CorpusCase {
+  Coord2 extents{};
+  std::vector<CorpusPe> pes;  ///< raster order
+  Options options;
+};
+
+CorpusCase random_case(u64 seed) {
+  CorpusRng rng(seed);
+  CorpusCase c;
+  c.extents = Coord2{static_cast<i32>(1 + rng.below(7)),
+                     static_cast<i32>(1 + rng.below(7))};
+  const usize pe_count =
+      static_cast<usize>(c.extents.x) * static_cast<usize>(c.extents.y);
+  c.pes.resize(pe_count);
+
+  // 1-4 distinct colors anywhere in the id space.
+  std::vector<wse::Color> colors;
+  const u32 color_count = 1 + rng.below(4);
+  while (colors.size() < color_count) {
+    const wse::Color color{
+        static_cast<u8>(rng.below(wse::Color::kMaxColors))};
+    if (std::find(colors.begin(), colors.end(), color) == colors.end()) {
+      colors.push_back(color);
+    }
+  }
+  const auto random_color = [&] {
+    return colors[rng.below(static_cast<u32>(colors.size()))];
+  };
+  // A color nothing configures, for sends into the void.
+  const auto stray_color = [&] {
+    for (;;) {
+      const wse::Color color{
+          static_cast<u8>(rng.below(wse::Color::kMaxColors))};
+      if (std::find(colors.begin(), colors.end(), color) == colors.end()) {
+        return color;
+      }
+    }
+  };
+
+  wse::Dir first_bias = wse::Dir::Ramp;
+  for (const wse::Color color : colors) {
+    // The last color often runs against the first, so that the ordered
+    // pair below can form a two-way exchange.
+    wse::Dir bias = kCorpusDirs[rng.below(4)];
+    if (color == colors.front()) {
+      first_bias = bias;
+    } else if (color == colors.back() && rng.chance(60)) {
+      bias = wse::opposite(first_bias);
+    }
+    // Most colors install one table everywhere, like the shipped
+    // stencils; the rest draw a table per PE. Some leave PEs out.
+    const bool uniform = rng.chance(70);
+    const u32 noise = rng.chance(65) ? 0 : 25;
+    const wse::ColorConfig shared = random_config(rng, bias, noise);
+    const u32 coverage = rng.chance(70) ? 100 : 75 + rng.below(25);
+    for (CorpusPe& pe : c.pes) {
+      if (!rng.chance(coverage)) {
+        continue;
+      }
+      pe.configs.emplace_back(color,
+                              uniform ? shared
+                                      : random_config(rng, bias, noise));
+      if (rng.chance(4)) {
+        pe.configs.emplace_back(color, random_config(rng, bias, noise));
+      }
+    }
+  }
+
+  for (CorpusPe& pe : c.pes) {
+    if (rng.chance(60)) {
+      const u32 sends = 1 + rng.below(3);
+      for (u32 i = 0; i < sends; ++i) {
+        wse::SendDeclaration send;
+        send.color = rng.chance(8) ? stray_color() : random_color();
+        send.control = rng.chance(30);
+        if (rng.chance(60)) {
+          send.in_flight = 1 + rng.below(4);
+        }
+        pe.sends.push_back(send);
+      }
+    }
+    if (rng.chance(45)) {
+      // Mostly one ordered pair of colors, either way round, so that
+      // some orderings close a wait cycle. An ordered send is usually
+      // also declared.
+      const u32 deps = 1 + rng.below(2);
+      for (u32 i = 0; i < deps; ++i) {
+        const u32 pick = rng.below(5);
+        const wse::ChannelDependency dep =
+            pick < 2   ? wse::ChannelDependency{colors.front(), colors.back()}
+            : pick < 4 ? wse::ChannelDependency{colors.back(), colors.front()}
+                       : wse::ChannelDependency{random_color(),
+                                                random_color()};
+        pe.deps.push_back(dep);
+        if (rng.chance(80)) {
+          pe.sends.push_back(wse::SendDeclaration{dep.dependent});
+        }
+      }
+    }
+    if (rng.chance(25)) {
+      wse::ReductionDeclaration red;
+      red.colors.push_back(random_color());
+      if (rng.chance(40)) {
+        red.colors.push_back(random_color());
+      }
+      red.folds_in_arrival_order = rng.chance(70);
+      red.label = "acc" + std::to_string(rng.below(10));
+      pe.reductions.push_back(std::move(red));
+    }
+    if (rng.chance(10)) {
+      pe.unhandled_data |= u32{1} << random_color().id();
+    }
+    if (rng.chance(10)) {
+      pe.unhandled_control |= u32{1} << random_color().id();
+    }
+    if (rng.chance(30)) {
+      pe.noted |= u32{1} << random_color().id();
+    }
+    constexpr usize kSizes[] = {0, 0, 0, 0, 0, 0, 0, 0, 0, 400, 950, 1200};
+    pe.memory = kSizes[rng.below(12)];
+  }
+
+  Options& options = c.options;
+  if (rng.chance(15)) {
+    options.check_routing = rng.chance(50);
+    options.check_memory = rng.chance(50);
+    options.check_reconfiguration = rng.chance(50);
+    options.check_flow = rng.chance(50);
+  }
+  options.router_buffer_depth = rng.chance(30) ? 0 : 1 + rng.below(6);
+  options.memory_budget = 1000;
+  const u32 unclaimed =
+      rng.chance(5) ? u32{1} << random_color().id() : u32{0};
+  options.color_claimed = [unclaimed](wse::Color color) {
+    return (unclaimed & (u32{1} << color.id())) == 0;
+  };
+  options.color_map = [] { return std::string("corpus color map"); };
+  if (rng.chance(50)) {
+    options.color_label = [](wse::Color color) {
+      return "color " + std::to_string(color.id()) + " ('corpus')";
+    };
+  }
+  return c;
+}
+
+std::string render_corpus_case(u64 seed) {
+  const CorpusCase c = random_case(seed);
+  wse::Fabric fabric(c.extents.x, c.extents.y);
+  fabric.load([&](Coord2 coord, Coord2) {
+    return std::make_unique<CorpusProgram>(
+        c.pes[static_cast<usize>(coord.y) * static_cast<usize>(c.extents.x) +
+              static_cast<usize>(coord.x)]);
+  });
+  const Report report = run(fabric, c.options);
+  std::ostringstream os;
+  os << "case " << seed << " (" << c.extents.x << 'x' << c.extents.y
+     << ")\n"
+     << report.describe();
+  for (usize i = 0; i < report.diagnostics.size(); ++i) {
+    const Diagnostic& d = report.diagnostics[i];
+    os << "  #" << i << " PE(" << d.pe.x << ',' << d.pe.y << ") color ";
+    if (d.color.has_value()) {
+      os << static_cast<int>(d.color->id());
+    } else {
+      os << '-';
+    }
+    os << " bound ";
+    if (d.bound.has_value()) {
+      os << *d.bound;
+    } else {
+      os << '-';
+    }
+    os << '\n';
+  }
+  const BufferAnalysis buffers = analyze_buffer_occupancy(fabric);
+  os << "  buffers: minimal depth " << buffers.minimal_depth << '\n';
+  for (const PeOccupancy& pe : buffers.per_pe) {
+    os << "    PE(" << pe.pe.x << ',' << pe.pe.y << ") " << pe.blocks << ':';
+    for (const ParkContribution& part : pe.contributions) {
+      os << " c" << static_cast<int>(part.color.id()) << '/'
+         << static_cast<int>(part.input) << '=' << part.blocks;
+    }
+    os << '\n';
+  }
+  return os.str();
+}
+
+TEST(LintDifferentialTest, RandomRoutingCorpusMatchesGolden) {
+  // Seeded random fabrics: random per-color switch tables (Ramp rules,
+  // off-edge outputs, colors installed twice), random data and control
+  // sends (some on colors no router configures), channel dependencies
+  // and reduction declarations. The rendered verdicts were pinned before
+  // the linter was last rewritten; any change in diagnostics, order,
+  // text, typed fields or bounds shows up as a diff.
+  constexpr u64 kCases = 120;
+  std::string actual;
+  for (u64 seed = 1; seed <= kCases; ++seed) {
+    actual += render_corpus_case(seed);
+  }
+  if (check_against_golden(FVF_TEST_DATA_DIR "/lint/random_corpus.golden",
+                           actual)) {
+    GTEST_SKIP() << "random corpus golden regenerated";
   }
 }
 

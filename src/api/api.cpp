@@ -1,6 +1,7 @@
 #include "api/api.hpp"
 
 #include <bit>
+#include <cmath>
 #include <iterator>
 #include <sstream>
 
@@ -517,20 +518,31 @@ FieldEquationSpec resolve_spec(const FieldEquationSpec& spec) {
                   "request extents must be positive ("
                       << resolved.nx << 'x' << resolved.ny << 'x'
                       << resolved.nz << ')');
+  FVF_REQUIRE_MSG(resolved.nx <= kMaxNx, "request field 'nx' = "
+                                             << resolved.nx << " exceeds "
+                                             << kMaxNx);
+  FVF_REQUIRE_MSG(resolved.ny <= kMaxNy, "request field 'ny' = "
+                                             << resolved.ny << " exceeds "
+                                             << kMaxNy);
+  FVF_REQUIRE_MSG(resolved.nz <= kMaxNz, "request field 'nz' = "
+                                             << resolved.nz << " exceeds "
+                                             << kMaxNz);
   FVF_REQUIRE_MSG(resolved.iterations > 0, "request field 'iterations' = "
                                                << resolved.iterations
                                                << " must be positive");
-  FVF_REQUIRE_MSG(resolved.dt > 0.0, "request field 'dt' = "
-                                         << resolved.dt << " must be positive");
-  FVF_REQUIRE_MSG(resolved.tol > 0.0, "request field 'tol' = "
-                                          << resolved.tol
-                                          << " must be positive");
+  FVF_REQUIRE_MSG(std::isfinite(resolved.dt) && resolved.dt > 0.0,
+                  "request field 'dt' = " << resolved.dt
+                                          << " must be positive and finite");
+  FVF_REQUIRE_MSG(std::isfinite(resolved.tol) && resolved.tol > 0.0,
+                  "request field 'tol' = " << resolved.tol
+                                           << " must be positive and finite");
   FVF_REQUIRE_MSG(resolved.fault_rate >= 0.0 && resolved.fault_rate <= 1.0,
                   "request field 'fault_rate' = " << resolved.fault_rate
                                                   << " must be in [0, 1]");
-  FVF_REQUIRE_MSG(resolved.threads >= 1, "request field 'threads' = "
-                                             << resolved.threads
-                                             << " must be >= 1");
+  FVF_REQUIRE_MSG(resolved.threads >= 1 && resolved.threads <= kMaxThreads,
+                  "request field 'threads' = " << resolved.threads
+                                               << " must be in [1, "
+                                               << kMaxThreads << ']');
   return resolved;
 }
 

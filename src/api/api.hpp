@@ -200,6 +200,15 @@ struct KernelRecord {
 /// and listing every kernel on an unknown name.
 [[nodiscard]] const KernelRecord& find_kernel(std::string_view name);
 
+/// Upper bounds resolve_spec enforces. nx and ny are the paper's
+/// 750x994 fabric, one PE per mesh column. nz is the deepest column a PE
+/// could hold: one f32 per cell in the 48 KiB PE memory. threads bounds
+/// the engine's host thread pool.
+inline constexpr i32 kMaxNx = 750;
+inline constexpr i32 kMaxNy = 994;
+inline constexpr i32 kMaxNz = 48 * 1024 / 4;
+inline constexpr i32 kMaxThreads = 256;
+
 /// Returns `spec` with the 0 sentinels replaced by the kernel record's
 /// defaults, after validating every field (named errors, since serve
 /// passes untrusted request fields straight through).

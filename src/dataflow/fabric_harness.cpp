@@ -59,9 +59,9 @@ lint::Options FabricHarness::lint_options(bool full) const {
   return options;
 }
 
-void FabricHarness::verify_load() const {
+void FabricHarness::verify_load() {
   const bool full = options_.lint != lint::Level::Off;
-  const lint::Report report = lint::run(fabric_, lint_options(full));
+  lint::Report report = lint::run(fabric_, lint_options(full));
   // A configured-but-unclaimed color fails the load at every lint level:
   // that fail-fast contract predates the linter, and a silently
   // misrouted color is never survivable.
@@ -70,24 +70,33 @@ void FabricHarness::verify_load() const {
       throw ContractViolation(d.message);
     }
   }
-  if (report.clean()) {
+  // An Off load ran only the claim audit, which is not a full report. A
+  // Warn or Strict gate ran the full analysis: keep it for lint_report(),
+  // so a load lints once.
+  gate_report_.reset();
+  if (!full) {
     return;
   }
-  if (options_.lint == lint::Level::Strict && report.error_count() > 0) {
+  const lint::Report& gate = gate_report_.emplace(std::move(report));
+  if (gate.clean()) {
+    return;
+  }
+  if (options_.lint == lint::Level::Strict && gate.error_count() > 0) {
     throw ContractViolation(
         "fabric program failed static verification (--lint=strict):\n" +
-        report.describe());
+        gate.describe());
   }
-  if (options_.lint != lint::Level::Off) {
-    std::cerr << "fvf::lint: " << report.error_count() << " error(s), "
-              << report.warning_count() << " warning(s)\n"
-              << report.describe();
-  }
+  std::cerr << "fvf::lint: " << gate.error_count() << " error(s), "
+            << gate.warning_count() << " warning(s)\n"
+            << gate.describe();
 }
 
 lint::Report FabricHarness::lint_report() const {
   FVF_REQUIRE_MSG(fabric_.pe(0, 0).program() != nullptr,
                   "FabricHarness::lint_report requires a prior load()");
+  if (gate_report_.has_value()) {
+    return *gate_report_;
+  }
   return lint::run(fabric_, lint_options(/*full=*/true));
 }
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "common/assert.hpp"
 #include "dataflow/color_plan.hpp"
 #include "dataflow/run_info.hpp"
+#include "lint/lint.hpp"
 #include "wse/fabric.hpp"
 
 namespace fvf::dataflow {
@@ -105,9 +107,11 @@ class FabricHarness {
     return grid;
   }
 
-  /// Runs the full static verifier over the loaded fabric and returns
-  /// the report without enforcing it — the `fvf_lint` CLI path. Requires
-  /// a prior load(); reads only the loaded programs.
+  /// The full static verifier's report on the loaded fabric, without
+  /// enforcing it — the `fvf_lint` CLI path. A Warn or Strict load
+  /// already ran it as its gate, and that report is returned; after an
+  /// Off load (claim audit only) the fabric is linted now. Requires a
+  /// prior load(); reads only the loaded programs.
   [[nodiscard]] lint::Report lint_report() const;
 
   /// Runs the event engine to quiescence and returns the full accounting.
@@ -127,7 +131,7 @@ class FabricHarness {
 
   /// Post-load static verification at HarnessOptions::lint level; throws
   /// ContractViolation on enforced findings (see load()).
-  void verify_load() const;
+  void verify_load();
 
   Coord2 extents_;
   HarnessOptions options_;
@@ -136,6 +140,8 @@ class FabricHarness {
   /// the caller asked for trace_json_path but supplied no recorder.
   std::unique_ptr<wse::TraceRecorder> owned_trace_;
   wse::Fabric fabric_;
+  /// The full report of the last Warn or Strict load gate.
+  std::optional<lint::Report> gate_report_;
 };
 
 }  // namespace fvf::dataflow

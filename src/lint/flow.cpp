@@ -1,20 +1,20 @@
 #include "lint/flow.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "lint/color_graph.hpp"
 #include "wse/program.hpp"
-#include "wse/route.hpp"
-#include "wse/router.hpp"
 
 namespace fvf::lint {
 
 namespace {
 
 using detail::ColorGraph;
+using detail::Declarations;
 using wse::Color;
 using wse::Dir;
 
@@ -29,91 +29,15 @@ using wse::Dir;
   return "?";
 }
 
-[[nodiscard]] usize pe_index(const wse::Fabric& fabric, Coord2 pe) noexcept {
-  return static_cast<usize>(pe.y) * static_cast<usize>(fabric.width()) +
-         static_cast<usize>(pe.x);
+[[nodiscard]] Coord2 coord(const wse::Fabric& fabric, usize pe) noexcept {
+  return Coord2{static_cast<i32>(pe % static_cast<usize>(fabric.width())),
+                static_cast<i32>(pe / static_cast<usize>(fabric.width()))};
 }
 
 [[nodiscard]] std::string default_label(Color color) {
   std::ostringstream os;
   os << "color " << static_cast<int>(color.id());
   return os.str();
-}
-
-/// Whether some switch position of `pe` delivers `input` to the Ramp.
-[[nodiscard]] bool delivers_to_ramp(const ColorGraph& graph, Coord2 pe,
-                                    Dir input) {
-  bool delivers = false;
-  graph.each_output(pe, input, [&](Dir out) {
-    if (out == Dir::Ramp) {
-      delivers = true;
-    }
-  });
-  return delivers;
-}
-
-/// Union-graph BFS from one sender's Ramp injection point. Invokes
-/// `visit(node)` for every reachable routing node — including the
-/// injection node itself, where blocks park when the active position has
-/// no Ramp rule — and `deliver(pe)` once per PE whose Ramp the traffic
-/// can reach.
-template <typename VisitFn, typename DeliverFn>
-void walk_from_sender(const ColorGraph& graph, Coord2 sender, VisitFn&& visit,
-                      DeliverFn&& deliver) {
-  std::vector<usize> frontier;
-  std::vector<bool> visited(graph.node_count(), false);
-  std::vector<bool> delivered(
-      static_cast<usize>(graph.width()) * static_cast<usize>(graph.height()),
-      false);
-  const usize start = graph.node(sender, Dir::Ramp);
-  visited[start] = true;
-  visit(start);
-  frontier.push_back(start);
-  while (!frontier.empty()) {
-    const usize n = frontier.back();
-    frontier.pop_back();
-    const Coord2 pe = graph.pe_of(n);
-    graph.each_output(pe, graph.input_of(n), [&](Dir out) {
-      if (out == Dir::Ramp) {
-        const usize p =
-            static_cast<usize>(pe.y) * static_cast<usize>(graph.width()) +
-            static_cast<usize>(pe.x);
-        if (!delivered[p]) {
-          delivered[p] = true;
-          deliver(pe);
-        }
-        return;
-      }
-      const Coord2 off = wse::dir_offset(out);
-      const Coord2 target{pe.x + off.x, pe.y + off.y};
-      if (!graph.on_fabric(target)) {
-        return;
-      }
-      const usize t = graph.node(target, wse::opposite(out));
-      if (!visited[t]) {
-        visited[t] = true;
-        visit(t);
-        frontier.push_back(t);
-      }
-    });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Buffer-bound analysis
-// ---------------------------------------------------------------------------
-
-/// Sum of declared in-flight block bounds this program carries on `color`
-/// (data and control declarations both park in the same per-PE buffer).
-[[nodiscard]] u64 declared_in_flight(const wse::PeProgram& program,
-                                     Color color) {
-  u64 blocks = 0;
-  for (const wse::SendDeclaration& send : program.send_declarations()) {
-    if (send.color == color) {
-      blocks += send.in_flight;
-    }
-  }
-  return blocks;
 }
 
 // ---------------------------------------------------------------------------
@@ -138,37 +62,24 @@ void walk_from_sender(const ColorGraph& graph, Coord2 sender, VisitFn&& visit,
 /// schedule can escape.
 class WaitForGraph {
  public:
-  WaitForGraph(const wse::Fabric& fabric, std::vector<Color> colors)
-      : fabric_(fabric), colors_(std::move(colors)) {
-    graphs_.reserve(colors_.size());
+  /// `graphs` holds the table of each color in `colors`, in that order.
+  WaitForGraph(const Declarations& declarations, std::vector<Color> colors,
+               std::vector<const ColorGraph*> graphs)
+      : declarations_(declarations),
+        colors_(std::move(colors)),
+        graphs_(std::move(graphs)) {
     slot_of_.fill(kNoSlot);
     for (usize slot = 0; slot < colors_.size(); ++slot) {
-      graphs_.emplace_back(fabric_, colors_[slot]);
       slot_of_[colors_[slot].id()] = slot;
     }
-    pe_count_ = static_cast<usize>(fabric_.pe_count());
-    routing_nodes_ = pe_count_ * wse::kLinkCount;
-    deps_at_.resize(pe_count_);
-    sends_at_.resize(pe_count_, 0);
-    for (i32 y = 0; y < fabric_.height(); ++y) {
-      for (i32 x = 0; x < fabric_.width(); ++x) {
-        const wse::PeProgram* program = fabric_.pe(x, y).program();
-        if (program == nullptr) {
-          continue;
-        }
-        const usize p = pe_index(fabric_, Coord2{x, y});
-        for (const wse::ChannelDependency& dep :
-             program->channel_dependencies()) {
-          if (slot_of_[dep.prerequisite.id()] != kNoSlot &&
-              slot_of_[dep.dependent.id()] != kNoSlot) {
-            deps_at_[p].push_back(dep);
-          }
-        }
-        for (const wse::SendDeclaration& send : program->send_declarations()) {
-          const usize slot = slot_of_[send.color.id()];
-          if (slot != kNoSlot) {
-            sends_at_[p] |= u32{1} << slot;
-          }
+    pe_count_ = graphs_.front()->pe_count();
+    routing_nodes_ = pe_count_ * detail::kLinks;
+    sends_at_.assign(pe_count_, 0);
+    for (usize p = 0; p < pe_count_; ++p) {
+      for (const wse::SendDeclaration& send : declarations_.sends(p)) {
+        const usize slot = slot_of_[send.color.id()];
+        if (slot != kNoSlot) {
+          sends_at_[p] |= u32{1} << slot;
         }
       }
     }
@@ -181,15 +92,10 @@ class WaitForGraph {
   [[nodiscard]] bool is_obligation(usize n) const noexcept {
     return n >= colors_.size() * routing_nodes_;
   }
-  [[nodiscard]] Coord2 pe_of(usize n) const {
-    if (is_obligation(n)) {
-      const usize local = (n - colors_.size() * routing_nodes_) % pe_count_;
-      return Coord2{static_cast<i32>(local % static_cast<usize>(
-                                                 fabric_.width())),
-                    static_cast<i32>(local / static_cast<usize>(
-                                                 fabric_.width()))};
-    }
-    return graphs_[n / routing_nodes_].pe_of(n % routing_nodes_);
+  [[nodiscard]] usize pe_of(usize n) const noexcept {
+    return is_obligation(n)
+               ? (n - colors_.size() * routing_nodes_) % pe_count_
+               : ColorGraph::pe_of(n % routing_nodes_);
   }
   [[nodiscard]] Color color_of(usize n) const {
     if (is_obligation(n)) {
@@ -197,543 +103,536 @@ class WaitForGraph {
     }
     return colors_[n / routing_nodes_];
   }
+  [[nodiscard]] Coord2 coord(usize pe) const noexcept {
+    return graphs_.front()->coord(pe);
+  }
 
   [[nodiscard]] usize obligation_node(usize slot, usize pe) const noexcept {
     return colors_.size() * routing_nodes_ + slot * pe_count_ + pe;
   }
-  [[nodiscard]] usize routing_node(usize slot, Coord2 pe, Dir input) const {
-    return slot * routing_nodes_ + graphs_[slot].node(pe, input);
-  }
 
-  [[nodiscard]] std::vector<usize> successors(usize n) const {
-    std::vector<usize> out;
+  /// Appends the successors of `n` to `out`.
+  void successors(usize n, std::vector<usize>& out) const {
     if (is_obligation(n)) {
-      const Coord2 pe = pe_of(n);
+      const usize p = pe_of(n);
       const Color color = color_of(n);
-      const usize p = pe_index(fabric_, pe);
-      for (const wse::ChannelDependency& dep : deps_at_[p]) {
-        if (dep.dependent != color) {
+      for (const wse::ChannelDependency& dep : declarations_.dependencies(p)) {
+        const usize slot = slot_of_[dep.prerequisite.id()];
+        if (dep.dependent != color || slot == kNoSlot) {
           continue;
         }
-        const usize slot = slot_of_[dep.prerequisite.id()];
-        const ColorGraph& graph = graphs_[slot];
         // The send waits for deliveries of the prerequisite, which can
         // only arrive through a link input some position delivers to the
         // Ramp (a PE never waits on its own injection).
-        for (usize in = 0; in < wse::kLinkCount; ++in) {
-          const Dir input = static_cast<Dir>(in);
-          if (input != Dir::Ramp && delivers_to_ramp(graph, pe, input)) {
-            out.push_back(routing_node(slot, pe, input));
+        for (usize in = 0; in < detail::kLinks; ++in) {
+          const usize node = ColorGraph::node(p, static_cast<Dir>(in));
+          if (static_cast<Dir>(in) != Dir::Ramp &&
+              graphs_[slot]->delivers_to_ramp(node)) {
+            out.push_back(slot * routing_nodes_ + node);
           }
         }
       }
-      return out;
+      return;
     }
     const usize slot = n / routing_nodes_;
-    const ColorGraph& graph = graphs_[slot];
-    const Coord2 pe = graph.pe_of(n % routing_nodes_);
-    const Dir input = graph.input_of(n % routing_nodes_);
+    const ColorGraph& graph = *graphs_[slot];
+    const usize local = n % routing_nodes_;
+    const Dir input = ColorGraph::input_of(local);
     if (input == Dir::Ramp) {
       // Injected here: the block exists once the PE's own send runs.
-      const usize p = pe_index(fabric_, pe);
+      const usize p = ColorGraph::pe_of(local);
       if ((sends_at_[p] & (u32{1} << slot)) != 0) {
         out.push_back(obligation_node(slot, p));
       }
-      return out;
+      return;
     }
     // Arrived over a link: the block was forwarded by the upstream
     // neighbour, through any of its inputs whose rules output toward us.
+    const Coord2 pe = graph.coord(ColorGraph::pe_of(local));
     const Coord2 off = wse::dir_offset(input);
     const Coord2 src{pe.x + off.x, pe.y + off.y};
     if (!graph.on_fabric(src)) {
-      return out;
+      return;
     }
+    const usize src_pe = graph.pe_index(src);
     const Dir toward_us = wse::opposite(input);
-    for (usize in = 0; in < wse::kLinkCount; ++in) {
-      const Dir src_in = static_cast<Dir>(in);
-      bool forwards = false;
-      graph.each_output(src, src_in, [&](Dir o) {
-        if (o == toward_us) {
-          forwards = true;
-        }
-      });
-      if (forwards) {
-        out.push_back(routing_node(slot, src, src_in));
+    for (usize in = 0; in < detail::kLinks; ++in) {
+      const usize node = ColorGraph::node(src_pe, static_cast<Dir>(in));
+      if (graph.links_to(node, toward_us)) {
+        out.push_back(slot * routing_nodes_ + node);
       }
     }
-    return out;
   }
 
   [[nodiscard]] const std::vector<Color>& colors() const noexcept {
     return colors_;
-  }
-  [[nodiscard]] const std::vector<wse::ChannelDependency>& deps_at(
-      usize pe) const noexcept {
-    return deps_at_[pe];
-  }
-  [[nodiscard]] bool any_dependency() const noexcept {
-    return std::any_of(deps_at_.begin(), deps_at_.end(),
-                       [](const auto& d) { return !d.empty(); });
   }
   [[nodiscard]] usize pe_count() const noexcept { return pe_count_; }
 
  private:
   static constexpr usize kNoSlot = static_cast<usize>(-1);
 
-  const wse::Fabric& fabric_;
+  const Declarations& declarations_;
   std::vector<Color> colors_;
-  std::vector<ColorGraph> graphs_;
+  std::vector<const ColorGraph*> graphs_;
   std::array<usize, Color::kMaxColors> slot_of_{};
   usize pe_count_ = 0;
   usize routing_nodes_ = 0;
-  std::vector<std::vector<wse::ChannelDependency>> deps_at_;
   std::vector<u32> sends_at_;
 };
 
-class FlowLinter {
- public:
-  FlowLinter(const wse::Fabric& fabric, const FlowOptions& options,
-             std::vector<Diagnostic>& out)
-      : fabric_(fabric), options_(options), out_(out) {}
-
-  void run() {
-    check_buffer_bounds();
-    check_deadlock();
-    check_determinism();
+/// Sum of declared in-flight block bounds `sends` carry on `color` (data
+/// and control declarations both park in the same per-PE buffer).
+[[nodiscard]] u64 declared_in_flight(
+    std::span<const wse::SendDeclaration> sends, Color color) {
+  u64 blocks = 0;
+  for (const wse::SendDeclaration& send : sends) {
+    if (send.color == color) {
+      blocks += send.in_flight;
+    }
   }
+  return blocks;
+}
 
- private:
-  [[nodiscard]] std::string label(Color color) const {
-    return options_.color_label != nullptr ? options_.color_label(color)
-                                           : default_label(color);
-  }
+[[nodiscard]] std::string color_label(const Options& options, Color color) {
+  return options.color_label != nullptr ? options.color_label(color)
+                                        : default_label(color);
+}
 
-  /// Lifts a finding to the layer that generated the traffic: programs
-  /// built from a higher-level description (spec::SpecPeProgram) map the
-  /// color back to the declaration field via describe_channel, so the
-  /// diagnostic names what to fix rather than the lowered artifact.
-  void push(Diagnostic d) {
-    if (d.color.has_value()) {
-      const wse::PeProgram* program = fabric_.pe(d.pe.x, d.pe.y).program();
-      if (program != nullptr) {
-        const std::string note = program->describe_channel(*d.color);
-        if (!note.empty()) {
-          d.message += "; ";
-          d.message += note;
-        }
-      }
-    }
-    out_.push_back(std::move(d));
-  }
-
-  void check_buffer_bounds() {
-    const BufferAnalysis analysis =
-        analyze_buffer_occupancy(fabric_, options_.skip_colors);
-    const u32 depth = options_.router_buffer_depth != 0
-                          ? options_.router_buffer_depth
-                          : fabric_.execution().router_buffer_depth;
-    if (analysis.minimal_depth <= depth) {
-      return;
-    }
-    // One finding localizes the problem: report the worst PE (first in
-    // raster order) and count the others, so a wafer-scale program does
-    // not emit a diagnostic per PE.
-    const PeOccupancy* worst = nullptr;
-    usize exceeding = 0;
-    for (const PeOccupancy& pe : analysis.per_pe) {
-      if (pe.blocks > depth) {
-        ++exceeding;
-        if (worst == nullptr || pe.blocks > worst->blocks) {
-          worst = &pe;
-        }
-      }
-    }
-    std::ostringstream os;
-    os << "worst-case router input-buffer occupancy at PE(" << worst->pe.x
-       << ',' << worst->pe.y << ") reaches " << worst->blocks << " blocks (";
-    bool first = true;
-    std::optional<Color> single_color;
-    bool one_color = true;
-    for (const ParkContribution& c : worst->contributions) {
-      os << (first ? "" : ", ") << label(c.color) << " via "
-         << long_dir_name(c.input) << ": " << c.blocks;
-      first = false;
-      if (single_color.has_value() && *single_color != c.color) {
-        one_color = false;
-      }
-      single_color = c.color;
-    }
-    os << "), exceeding router_buffer_depth " << depth
-       << ": the run would drop blocks; router_buffer_depth >= "
-       << analysis.minimal_depth << " is sufficient";
-    if (exceeding > 1) {
-      os << " (" << exceeding << " PEs exceed the configured depth)";
-    }
-    push(Diagnostic{Check::BufferOverflowPossible, Severity::Error,
-                    worst->pe, one_color ? single_color : std::nullopt,
-                    os.str(), analysis.minimal_depth});
-  }
-
-  void check_deadlock() {
-    // Colors that appear in some declared ordering; everything else
-    // cannot sit on a wait cycle (single-color routing cycles are the
-    // routing-cycle check's finding, and are skipped here).
-    std::array<bool, Color::kMaxColors> interesting{};
-    for (i32 y = 0; y < fabric_.height(); ++y) {
-      for (i32 x = 0; x < fabric_.width(); ++x) {
-        const wse::PeProgram* program = fabric_.pe(x, y).program();
-        if (program == nullptr) {
-          continue;
-        }
-        for (const wse::ChannelDependency& dep :
-             program->channel_dependencies()) {
-          if (!options_.skip_colors[dep.prerequisite.id()] &&
-              !options_.skip_colors[dep.dependent.id()]) {
-            interesting[dep.prerequisite.id()] = true;
-            interesting[dep.dependent.id()] = true;
-          }
-        }
-      }
-    }
-    std::vector<Color> colors;
-    for (u8 c = 0; c < Color::kMaxColors; ++c) {
-      if (interesting[c]) {
-        colors.push_back(Color{c});
-      }
-    }
-    if (colors.empty()) {
-      return;
-    }
-    const WaitForGraph wait(fabric_, std::move(colors));
-
-    enum class Mark : u8 { White, Gray, Black };
-    std::vector<Mark> mark(wait.node_total(), Mark::White);
-    struct Frame {
-      usize node = 0;
-      std::vector<usize> succ;
-      usize next = 0;
-    };
-    std::vector<Frame> stack;
-    for (usize slot = 0; slot < wait.colors().size(); ++slot) {
-      for (usize p = 0; p < wait.pe_count(); ++p) {
-        const usize root = wait.obligation_node(slot, p);
-        if (mark[root] != Mark::White) {
-          continue;
-        }
-        mark[root] = Mark::Gray;
-        stack.push_back(Frame{root, wait.successors(root)});
-        while (!stack.empty()) {
-          Frame& frame = stack.back();
-          if (frame.next >= frame.succ.size()) {
-            mark[frame.node] = Mark::Black;
-            stack.pop_back();
-            continue;
-          }
-          const usize target = frame.succ[frame.next++];
-          if (mark[target] == Mark::Gray) {
-            report_deadlock(wait, stack, target);
-            return;  // one cycle is enough to localize the knot
-          }
-          if (mark[target] == Mark::White) {
-            mark[target] = Mark::Gray;
-            stack.push_back(Frame{target, wait.successors(target)});
-          }
-        }
+/// Lifts a finding to the layer that generated the traffic: programs
+/// built from a higher-level description (spec::SpecPeProgram) map the
+/// color back to the declaration field via describe_channel, so the
+/// diagnostic names what to fix rather than the lowered artifact.
+void push(const wse::Fabric& fabric, Diagnostic d,
+          std::vector<Diagnostic>& out) {
+  if (d.color.has_value()) {
+    const wse::PeProgram* program = fabric.pe(d.pe.x, d.pe.y).program();
+    if (program != nullptr) {
+      const std::string note = program->describe_channel(*d.color);
+      if (!note.empty()) {
+        d.message += "; ";
+        d.message += note;
       }
     }
   }
+  out.push_back(std::move(d));
+}
 
-  template <typename Frames>
-  void report_deadlock(const WaitForGraph& wait, const Frames& stack,
-                       usize back_to) {
-    usize start = 0;
-    for (usize i = 0; i < stack.size(); ++i) {
-      if (stack[i].node == back_to) {
-        start = i;
-        break;
-      }
-    }
-    // The cycle alternates obligation nodes (a send waiting) with the
-    // routing nodes of the prerequisite it waits on; render the sends in
-    // cycle order, each naming the prerequisite and its producer (the
-    // next obligation on the cycle).
-    struct Obligation {
-      Coord2 pe;
-      Color color;
-    };
-    std::vector<Obligation> sends;
-    std::vector<Coord2> relays;
-    for (usize i = start; i < stack.size(); ++i) {
-      const usize n = stack[i].node;
-      if (wait.is_obligation(n)) {
-        sends.push_back(Obligation{wait.pe_of(n), wait.color_of(n)});
-      } else {
-        relays.push_back(wait.pe_of(n));
-      }
-    }
-    std::ostringstream os;
-    os << "cross-color send ordering can deadlock: ";
-    for (usize i = 0; i < sends.size(); ++i) {
-      const Obligation& s = sends[i];
-      const Obligation& producer = sends[(i + 1) % sends.size()];
-      os << (i == 0 ? "" : "; ") << "PE(" << s.pe.x << ',' << s.pe.y
-         << ") sends " << label(s.color) << " only after "
-         << label(producer.color) << " arrives from PE(" << producer.pe.x
-         << ',' << producer.pe.y << ')';
-    }
-    os << "; the wait cycle closes and none of these sends can happen";
-    // Routing PEs on the cycle beyond the senders themselves (multi-hop
-    // relays) are part of the knot too.
-    std::vector<Coord2> extra;
-    for (const Coord2 pe : relays) {
-      const bool is_sender =
-          std::any_of(sends.begin(), sends.end(),
-                      [&](const Obligation& s) { return s.pe == pe; });
-      if (!is_sender &&
-          std::find(extra.begin(), extra.end(), pe) == extra.end()) {
-        extra.push_back(pe);
-      }
-    }
-    if (!extra.empty()) {
-      os << " (traffic relayed through ";
-      for (usize i = 0; i < extra.size(); ++i) {
-        os << (i == 0 ? "" : ", ") << "PE(" << extra[i].x << ','
-           << extra[i].y << ')';
-      }
-      os << ')';
-    }
-    FVF_ASSERT(!sends.empty());
-    push(Diagnostic{Check::CrossColorDeadlock, Severity::Error,
-                    sends.front().pe, sends.front().color, os.str(),
-                    std::nullopt});
-  }
-
-  void check_determinism() {
-    // Gather the arrival-order accumulations and the colors they fold.
-    struct Fold {
-      Coord2 pe;
-      std::string fold_label;
-      std::vector<Color> colors;
-    };
-    std::vector<Fold> folds;
-    std::array<bool, Color::kMaxColors> fold_colors{};
-    for (i32 y = 0; y < fabric_.height(); ++y) {
-      for (i32 x = 0; x < fabric_.width(); ++x) {
-        const wse::PeProgram* program = fabric_.pe(x, y).program();
-        if (program == nullptr) {
-          continue;
-        }
-        for (const wse::ReductionDeclaration& red :
-             program->reduction_declarations()) {
-          if (!red.folds_in_arrival_order) {
-            continue;
-          }
-          Fold fold{Coord2{x, y}, red.label, {}};
-          for (const Color c : red.colors) {
-            if (!options_.skip_colors[c.id()]) {
-              fold.colors.push_back(c);
-              fold_colors[c.id()] = true;
-            }
-          }
-          if (!fold.colors.empty()) {
-            folds.push_back(std::move(fold));
-          }
-        }
-      }
-    }
-    if (folds.empty()) {
-      return;
-    }
-
-    // Per color: how many declared data senders can reach each PE's Ramp
-    // over the union graph, with the first two recorded for the message.
-    const usize pe_count = static_cast<usize>(fabric_.pe_count());
-    constexpr usize kSampleSenders = 2;
-    struct Reach {
-      std::vector<u32> sources;
-      std::vector<std::array<Coord2, kSampleSenders>> sample;
-    };
-    std::array<Reach, Color::kMaxColors> reach_by_color;
-    for (u8 c = 0; c < Color::kMaxColors; ++c) {
-      if (!fold_colors[c]) {
-        continue;
-      }
-      const Color color{c};
-      Reach& reach = reach_by_color[c];
-      reach.sources.assign(pe_count, 0);
-      reach.sample.assign(pe_count, {});
-      const ColorGraph graph(fabric_, color);
-      for (i32 y = 0; y < fabric_.height(); ++y) {
-        for (i32 x = 0; x < fabric_.width(); ++x) {
-          const wse::PeProgram* program = fabric_.pe(x, y).program();
-          if (program == nullptr) {
-            continue;
-          }
-          const std::vector<wse::SendDeclaration> sends =
-              program->send_declarations();
-          const bool sends_data =
-              std::any_of(sends.begin(), sends.end(),
-                          [&](const wse::SendDeclaration& s) {
-                            return s.color == color && !s.control;
-                          });
-          if (!sends_data) {
-            continue;
-          }
-          const Coord2 sender{x, y};
-          walk_from_sender(graph, sender, [](usize) {}, [&](Coord2 pe) {
-            const usize p = pe_index(fabric_, pe);
-            if (reach.sources[p] < kSampleSenders) {
-              reach.sample[p][reach.sources[p]] = sender;
-            }
-            ++reach.sources[p];
-          });
-        }
-      }
-    }
-
-    for (const Fold& fold : folds) {
-      const usize p = pe_index(fabric_, fold.pe);
-      u64 sources = 0;
-      std::vector<Coord2> samples;
-      for (const Color c : fold.colors) {
-        const Reach& reach = reach_by_color[c.id()];
-        sources += reach.sources[p];
-        for (usize i = 0;
-             i < std::min<usize>(reach.sources[p], kSampleSenders); ++i) {
-          if (samples.size() < 2 * kSampleSenders) {
-            samples.push_back(reach.sample[p][i]);
-          }
-        }
-      }
-      if (sources < 2) {
-        continue;  // at most one producer: delivery order is pinned
-      }
-      std::ostringstream os;
-      os << "PE(" << fold.pe.x << ',' << fold.pe.y << ") folds '"
-         << fold.fold_label << "' in arrival order over ";
-      for (usize i = 0; i < fold.colors.size(); ++i) {
-        os << (i == 0 ? "" : ", ") << label(fold.colors[i]);
-      }
-      os << ", and the routing plan lets " << sources
-         << " senders reach its Ramp (";
-      for (usize i = 0; i < samples.size(); ++i) {
-        os << (i == 0 ? "" : ", ") << "PE(" << samples[i].x << ','
-           << samples[i].y << ')';
-      }
-      if (sources > samples.size()) {
-        os << ", ...";
-      }
-      os << "): the f32 result depends on delivery interleaving";
-      push(Diagnostic{Check::OrderSensitiveReduction, Severity::Warning,
-                      fold.pe,
-                      fold.colors.size() == 1
-                          ? std::optional<Color>{fold.colors[0]}
-                          : std::nullopt,
-                      os.str(), std::nullopt});
+template <typename Frames>
+void report_deadlock(const wse::Fabric& fabric, const Options& options,
+                     const WaitForGraph& wait, const Frames& stack,
+                     usize back_to, std::vector<Diagnostic>& out) {
+  usize start = 0;
+  for (usize i = 0; i < stack.size(); ++i) {
+    if (stack[i].node == back_to) {
+      start = i;
+      break;
     }
   }
-
-  const wse::Fabric& fabric_;
-  const FlowOptions& options_;
-  std::vector<Diagnostic>& out_;
-};
+  // The cycle alternates obligation nodes (a send waiting) with the
+  // routing nodes of the prerequisite it waits on; render the sends in
+  // cycle order, each naming the prerequisite and its producer (the
+  // next obligation on the cycle).
+  struct Obligation {
+    Coord2 pe;
+    Color color;
+  };
+  std::vector<Obligation> sends;
+  std::vector<Coord2> relays;
+  for (usize i = start; i < stack.size(); ++i) {
+    const usize n = stack[i].node;
+    if (wait.is_obligation(n)) {
+      sends.push_back(Obligation{wait.coord(wait.pe_of(n)), wait.color_of(n)});
+    } else {
+      relays.push_back(wait.coord(wait.pe_of(n)));
+    }
+  }
+  std::ostringstream os;
+  os << "cross-color send ordering can deadlock: ";
+  for (usize i = 0; i < sends.size(); ++i) {
+    const Obligation& s = sends[i];
+    const Obligation& producer = sends[(i + 1) % sends.size()];
+    os << (i == 0 ? "" : "; ") << "PE(" << s.pe.x << ',' << s.pe.y
+       << ") sends " << color_label(options, s.color) << " only after "
+       << color_label(options, producer.color) << " arrives from PE("
+       << producer.pe.x << ',' << producer.pe.y << ')';
+  }
+  os << "; the wait cycle closes and none of these sends can happen";
+  // Routing PEs on the cycle beyond the senders themselves (multi-hop
+  // relays) are part of the knot too.
+  std::vector<Coord2> extra;
+  for (const Coord2 pe : relays) {
+    const bool is_sender =
+        std::any_of(sends.begin(), sends.end(),
+                    [&](const Obligation& s) { return s.pe == pe; });
+    if (!is_sender &&
+        std::find(extra.begin(), extra.end(), pe) == extra.end()) {
+      extra.push_back(pe);
+    }
+  }
+  if (!extra.empty()) {
+    os << " (traffic relayed through ";
+    for (usize i = 0; i < extra.size(); ++i) {
+      os << (i == 0 ? "" : ", ") << "PE(" << extra[i].x << ','
+         << extra[i].y << ')';
+    }
+    os << ')';
+  }
+  FVF_ASSERT(!sends.empty());
+  push(fabric,
+       Diagnostic{Check::CrossColorDeadlock, Severity::Error,
+                  sends.front().pe, sends.front().color, os.str(),
+                  std::nullopt},
+       out);
+}
 
 }  // namespace
 
-BufferAnalysis analyze_buffer_occupancy(
-    const wse::Fabric& fabric,
-    const std::array<bool, Color::kMaxColors>& skip_colors) {
+namespace detail {
+
+FlowPass::FlowPass(const wse::Fabric& fabric,
+                   const Declarations& declarations, const Options& options)
+    : fabric_(fabric), declarations_(declarations), options_(options) {
   const usize pe_count = static_cast<usize>(fabric.pe_count());
-  std::vector<u64> total(pe_count, 0);
-  std::vector<std::vector<ParkContribution>> contributions(pe_count);
-  // Scratch accumulator over routing nodes, reused across colors.
-  std::vector<u64> node_blocks;
-  for (u8 c = 0; c < Color::kMaxColors; ++c) {
-    if (skip_colors[c]) {
-      continue;
+  for (usize p = 0; p < pe_count; ++p) {
+    for (const wse::ChannelDependency& dep : declarations.dependencies(p)) {
+      dependency_colors_[dep.prerequisite.id()] = true;
+      dependency_colors_[dep.dependent.id()] = true;
     }
-    const Color color{c};
-    const ColorGraph graph(fabric, color);
-    // Fast path: a color with no parkable (PE, input) node can never
-    // occupy a router input buffer, whatever its traffic.
-    std::vector<bool> parkable(graph.node_count(), false);
-    bool any_parkable = false;
-    for (i32 y = 0; y < fabric.height(); ++y) {
-      for (i32 x = 0; x < fabric.width(); ++x) {
-        const Coord2 pe{x, y};
-        if (!graph.config(pe).configured()) {
-          continue;
-        }
-        for (usize in = 0; in < wse::kLinkCount; ++in) {
-          if (graph.parkable(pe, static_cast<Dir>(in))) {
-            parkable[graph.node(pe, static_cast<Dir>(in))] = true;
-            any_parkable = true;
-          }
+    for (const wse::ReductionDeclaration& red : declarations.reductions(p)) {
+      if (red.folds_in_arrival_order) {
+        for (const Color c : red.colors) {
+          fold_colors_[c.id()] = true;
         }
       }
-    }
-    if (!any_parkable) {
-      continue;
-    }
-    node_blocks.assign(graph.node_count(), 0);
-    bool any_blocks = false;
-    for (i32 y = 0; y < fabric.height(); ++y) {
-      for (i32 x = 0; x < fabric.width(); ++x) {
-        const wse::PeProgram* program = fabric.pe(x, y).program();
-        if (program == nullptr) {
-          continue;
-        }
-        const u64 in_flight = declared_in_flight(*program, color);
-        if (in_flight == 0) {
-          continue;
-        }
-        // Every parkable node this sender's traffic can occupy may hold
-        // its whole in-flight window at once in the worst case.
-        walk_from_sender(
-            graph, Coord2{x, y},
-            [&](usize n) {
-              if (parkable[n]) {
-                node_blocks[n] += in_flight;
-                any_blocks = true;
-              }
-            },
-            [](Coord2) {});
-      }
-    }
-    if (!any_blocks) {
-      continue;
-    }
-    for (usize n = 0; n < node_blocks.size(); ++n) {
-      if (node_blocks[n] == 0) {
-        continue;
-      }
-      const Coord2 pe = graph.pe_of(n);
-      const usize p = pe_index(fabric, pe);
-      total[p] += node_blocks[n];
-      contributions[p].push_back(
-          ParkContribution{color, graph.input_of(n), node_blocks[n]});
     }
   }
-  BufferAnalysis analysis;
-  for (usize p = 0; p < pe_count; ++p) {
-    if (total[p] == 0) {
+  total_.assign(pe_count, 0);
+}
+
+void FlowPass::add(const ColorGraph& graph, Walker& walker) {
+  add_buffers(graph, walker);
+  if (fold_colors_[graph.color().id()]) {
+    add_reach(graph, walker);
+  }
+  if (dependency_colors_[graph.color().id()]) {
+    dependency_graphs_.push_back(graph);
+  }
+}
+
+void FlowPass::add_buffers(const ColorGraph& graph, Walker& walker) {
+  // Fast path: a color with no parkable (PE, input) node can never
+  // occupy a router input buffer, whatever its traffic.
+  if (!graph.any_parkable()) {
+    return;
+  }
+  node_blocks_.assign(graph.node_count(), 0);
+  bool any_blocks = false;
+  for (usize p = 0; p < graph.pe_count(); ++p) {
+    const u64 in_flight =
+        declared_in_flight(declarations_.sends(p), graph.color());
+    if (in_flight == 0) {
       continue;
     }
-    analysis.minimal_depth = std::max(analysis.minimal_depth, total[p]);
-    analysis.per_pe.push_back(
-        PeOccupancy{Coord2{static_cast<i32>(p % static_cast<usize>(
-                               fabric.width())),
-                           static_cast<i32>(p / static_cast<usize>(
-                               fabric.width()))},
-                    total[p], std::move(contributions[p])});
+    // Every parkable node this sender's traffic can occupy may hold its
+    // whole in-flight window at once in the worst case.
+    const usize start = ColorGraph::node(p, Dir::Ramp);
+    walker.walk(
+        graph, std::span<const usize>(&start, 1),
+        [&](usize n) {
+          if (graph.parkable(n)) {
+            node_blocks_[n] += in_flight;
+            any_blocks = true;
+          }
+        },
+        [](usize) {});
+  }
+  if (!any_blocks) {
+    return;
+  }
+  for (usize n = 0; n < node_blocks_.size(); ++n) {
+    if (node_blocks_[n] == 0) {
+      continue;
+    }
+    const usize p = ColorGraph::pe_of(n);
+    total_[p] += node_blocks_[n];
+    parked_.emplace_back(
+        p, ParkContribution{graph.color(), ColorGraph::input_of(n),
+                            node_blocks_[n]});
+  }
+}
+
+void FlowPass::add_reach(const ColorGraph& graph, Walker& walker) {
+  const Color color = graph.color();
+  std::vector<u32>& sources = sources_[color.id()];
+  std::vector<std::array<Coord2, kSampleSenders>>& sample =
+      samples_[color.id()];
+  sources.assign(graph.pe_count(), 0);
+  sample.assign(graph.pe_count(), {});
+  for (usize s = 0; s < graph.pe_count(); ++s) {
+    const std::span<const wse::SendDeclaration> sends =
+        declarations_.sends(s);
+    if (std::none_of(sends.begin(), sends.end(),
+                     [&](const wse::SendDeclaration& send) {
+                       return send.color == color && !send.control;
+                     })) {
+      continue;
+    }
+    const Coord2 sender = graph.coord(s);
+    const usize start = ColorGraph::node(s, Dir::Ramp);
+    walker.walk(
+        graph, std::span<const usize>(&start, 1), [](usize) {},
+        [&](usize p) {
+          if (sources[p] < kSampleSenders) {
+            sample[p][sources[p]] = sender;
+          }
+          ++sources[p];
+        });
+  }
+}
+
+BufferAnalysis FlowPass::buffer_analysis() {
+  // Contributions were collected color by color; a stable sort by PE
+  // keeps each PE's list in color order, then input order.
+  std::stable_sort(parked_.begin(), parked_.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  BufferAnalysis analysis;
+  auto next = parked_.begin();
+  for (usize p = 0; p < total_.size(); ++p) {
+    if (total_[p] == 0) {
+      continue;
+    }
+    analysis.minimal_depth = std::max(analysis.minimal_depth, total_[p]);
+    PeOccupancy pe{coord(fabric_, p), total_[p], {}};
+    while (next != parked_.end() && next->first < p) {
+      ++next;
+    }
+    for (; next != parked_.end() && next->first == p; ++next) {
+      pe.contributions.push_back(next->second);
+    }
+    analysis.per_pe.push_back(std::move(pe));
   }
   return analysis;
 }
 
-void run_flow_checks(const wse::Fabric& fabric, const FlowOptions& options,
-                     std::vector<Diagnostic>& out) {
-  FlowLinter linter(fabric, options, out);
-  linter.run();
+void FlowPass::finish(const ColorSet& cyclic, std::vector<Diagnostic>& out) {
+  check_buffer_bounds(out);
+  check_deadlock(cyclic, out);
+  check_determinism(cyclic, out);
+}
+
+void FlowPass::check_buffer_bounds(std::vector<Diagnostic>& out) {
+  const u64 minimal_depth =
+      total_.empty() ? 0 : *std::max_element(total_.begin(), total_.end());
+  const u32 depth = options_.router_buffer_depth != 0
+                        ? options_.router_buffer_depth
+                        : fabric_.execution().router_buffer_depth;
+  if (minimal_depth <= depth) {
+    return;
+  }
+  // One finding localizes the problem: report the worst PE (first in
+  // raster order) and count the others, so a wafer-scale program does
+  // not emit a diagnostic per PE.
+  const usize worst_pe = static_cast<usize>(
+      std::find(total_.begin(), total_.end(), minimal_depth) -
+      total_.begin());
+  const usize exceeding = static_cast<usize>(
+      std::count_if(total_.begin(), total_.end(),
+                    [&](u64 blocks) { return blocks > depth; }));
+  PeOccupancy worst{coord(fabric_, worst_pe), minimal_depth, {}};
+  for (const auto& [pe, contribution] : parked_) {
+    if (pe == worst_pe) {
+      worst.contributions.push_back(contribution);
+    }
+  }
+  std::ostringstream os;
+  os << "worst-case router input-buffer occupancy at PE(" << worst.pe.x
+     << ',' << worst.pe.y << ") reaches " << worst.blocks << " blocks (";
+  bool first = true;
+  std::optional<Color> single_color;
+  bool one_color = true;
+  for (const ParkContribution& c : worst.contributions) {
+    os << (first ? "" : ", ") << color_label(options_, c.color) << " via "
+       << long_dir_name(c.input) << ": " << c.blocks;
+    first = false;
+    if (single_color.has_value() && *single_color != c.color) {
+      one_color = false;
+    }
+    single_color = c.color;
+  }
+  os << "), exceeding router_buffer_depth " << depth
+     << ": the run would drop blocks; router_buffer_depth >= "
+     << minimal_depth << " is sufficient";
+  if (exceeding > 1) {
+    os << " (" << exceeding << " PEs exceed the configured depth)";
+  }
+  push(fabric_,
+       Diagnostic{Check::BufferOverflowPossible, Severity::Error, worst.pe,
+                  one_color ? single_color : std::nullopt, os.str(),
+                  minimal_depth},
+       out);
+}
+
+void FlowPass::check_deadlock(const ColorSet& cyclic,
+                              std::vector<Diagnostic>& out) {
+  // Colors that appear in some declared ordering; everything else
+  // cannot sit on a wait cycle (single-color routing cycles are the
+  // routing-cycle check's finding, and are skipped here).
+  ColorSet interesting{};
+  for (usize p = 0; p < total_.size(); ++p) {
+    for (const wse::ChannelDependency& dep : declarations_.dependencies(p)) {
+      if (!cyclic[dep.prerequisite.id()] && !cyclic[dep.dependent.id()]) {
+        interesting[dep.prerequisite.id()] = true;
+        interesting[dep.dependent.id()] = true;
+      }
+    }
+  }
+  std::vector<Color> colors;
+  std::vector<const ColorGraph*> graphs;
+  for (const ColorGraph& graph : dependency_graphs_) {
+    if (interesting[graph.color().id()]) {
+      colors.push_back(graph.color());
+      graphs.push_back(&graph);
+    }
+  }
+  if (colors.empty()) {
+    return;
+  }
+  const WaitForGraph wait(declarations_, std::move(colors),
+                          std::move(graphs));
+
+  // Iterative DFS. Each frame's successors are a range of one shared
+  // pool, so the search allocates nothing per node.
+  enum class Mark : u8 { White, Gray, Black };
+  std::vector<Mark> mark(wait.node_total(), Mark::White);
+  struct Frame {
+    usize node = 0;
+    usize begin = 0;  ///< this frame's successors start in `pool`
+    usize next = 0;   ///< next successor to explore
+  };
+  std::vector<Frame> stack;
+  std::vector<usize> pool;
+  const auto enter = [&](usize node) {
+    mark[node] = Mark::Gray;
+    const usize begin = pool.size();
+    wait.successors(node, pool);
+    stack.push_back(Frame{node, begin, begin});
+  };
+  for (usize slot = 0; slot < wait.colors().size(); ++slot) {
+    for (usize p = 0; p < wait.pe_count(); ++p) {
+      const usize root = wait.obligation_node(slot, p);
+      if (mark[root] != Mark::White) {
+        continue;
+      }
+      enter(root);
+      while (!stack.empty()) {
+        Frame& frame = stack.back();
+        if (frame.next >= pool.size()) {
+          mark[frame.node] = Mark::Black;
+          pool.resize(frame.begin);
+          stack.pop_back();
+          continue;
+        }
+        const usize target = pool[frame.next++];
+        if (mark[target] == Mark::Gray) {
+          report_deadlock(fabric_, options_, wait, stack, target, out);
+          return;  // one cycle is enough to localize the knot
+        }
+        if (mark[target] == Mark::White) {
+          enter(target);
+        }
+      }
+    }
+  }
+}
+
+void FlowPass::check_determinism(const ColorSet& cyclic,
+                                 std::vector<Diagnostic>& out) {
+  // The arrival-order accumulations and the colors they fold.
+  struct Fold {
+    usize pe;
+    const std::string* fold_label;
+    std::vector<Color> colors;
+  };
+  std::vector<Fold> folds;
+  for (usize p = 0; p < total_.size(); ++p) {
+    for (const wse::ReductionDeclaration& red : declarations_.reductions(p)) {
+      if (!red.folds_in_arrival_order) {
+        continue;
+      }
+      Fold fold{p, &red.label, {}};
+      for (const Color c : red.colors) {
+        if (!cyclic[c.id()]) {
+          fold.colors.push_back(c);
+        }
+      }
+      if (!fold.colors.empty()) {
+        folds.push_back(std::move(fold));
+      }
+    }
+  }
+
+  for (const Fold& fold : folds) {
+    u64 sources = 0;
+    std::vector<Coord2> samples;
+    for (const Color c : fold.colors) {
+      const u32 reach = sources_[c.id()][fold.pe];
+      sources += reach;
+      for (usize i = 0; i < std::min<usize>(reach, kSampleSenders); ++i) {
+        if (samples.size() < 2 * kSampleSenders) {
+          samples.push_back(samples_[c.id()][fold.pe][i]);
+        }
+      }
+    }
+    if (sources < 2) {
+      continue;  // at most one producer: delivery order is pinned
+    }
+    const Coord2 pe = coord(fabric_, fold.pe);
+    std::ostringstream os;
+    os << "PE(" << pe.x << ',' << pe.y << ") folds '" << *fold.fold_label
+       << "' in arrival order over ";
+    for (usize i = 0; i < fold.colors.size(); ++i) {
+      os << (i == 0 ? "" : ", ") << color_label(options_, fold.colors[i]);
+    }
+    os << ", and the routing plan lets " << sources
+       << " senders reach its Ramp (";
+    for (usize i = 0; i < samples.size(); ++i) {
+      os << (i == 0 ? "" : ", ") << "PE(" << samples[i].x << ','
+         << samples[i].y << ')';
+    }
+    if (sources > samples.size()) {
+      os << ", ...";
+    }
+    os << "): the f32 result depends on delivery interleaving";
+    push(fabric_,
+         Diagnostic{Check::OrderSensitiveReduction, Severity::Warning, pe,
+                    fold.colors.size() == 1
+                        ? std::optional<Color>{fold.colors[0]}
+                        : std::nullopt,
+                    os.str(), std::nullopt},
+         out);
+  }
+}
+
+}  // namespace detail
+
+BufferAnalysis analyze_buffer_occupancy(
+    const wse::Fabric& fabric,
+    const std::array<bool, Color::kMaxColors>& skip_colors) {
+  const detail::Declarations declarations(fabric);
+  const Options options;
+  detail::FlowPass pass(fabric, declarations, options);
+  detail::ColorGraph graph;
+  detail::Walker walker;
+  for (u8 c = 0; c < Color::kMaxColors; ++c) {
+    if (declarations.active()[c] && !skip_colors[c]) {
+      graph.build(fabric, Color{c});
+      pass.add(graph, walker);
+    }
+  }
+  return pass.buffer_analysis();
 }
 
 }  // namespace fvf::lint

@@ -26,15 +26,14 @@
 /// All three are decided on the union-over-switch-positions routing
 /// graph (see docs/ARCHITECTURE.md "Static flow analysis" for the
 /// lattice and its precision limits) and run at launch time only — zero
-/// hot-path cost. The entry point is run_flow_checks(), invoked by
-/// lint::run() under Options::check_flow; analyze_buffer_occupancy() is
-/// exposed separately so tests can differentially validate the computed
-/// bound against the executing fabric.
+/// hot-path cost. lint::run() runs them under Options::check_flow, in its
+/// one pass over the per-color tables (lint/color_graph.hpp);
+/// analyze_buffer_occupancy() is exposed separately so tests can
+/// differentially validate the computed bound against the executing
+/// fabric.
 #pragma once
 
 #include <array>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -73,20 +72,6 @@ struct BufferAnalysis {
   std::vector<PeOccupancy> per_pe;
 };
 
-/// Configuration for run_flow_checks. Defaults reproduce lint::run's
-/// behaviour when driven through lint::Options.
-struct FlowOptions {
-  /// Router input-buffer depth the buffer-bound analysis compares
-  /// against; 0 uses the loaded fabric's own configured depth.
-  u32 router_buffer_depth = 0;
-  /// Human label of a color (see lint::Options::color_label).
-  std::function<std::string(wse::Color)> color_label;
-  /// Colors to exclude from the analyses — lint::run sets the colors the
-  /// per-color cycle check already flagged, since occupancy and wait-for
-  /// properties are not meaningful on a cyclic routing graph.
-  std::array<bool, wse::Color::kMaxColors> skip_colors{};
-};
-
 /// Computes the worst-case router input-buffer occupancy of every PE from
 /// declared sends (SendDeclaration::in_flight), routing fan-in, and
 /// switch-position unions. `skip_colors` excludes colors (cyclic routing
@@ -94,11 +79,5 @@ struct FlowOptions {
 [[nodiscard]] BufferAnalysis analyze_buffer_occupancy(
     const wse::Fabric& fabric,
     const std::array<bool, wse::Color::kMaxColors>& skip_colors = {});
-
-/// Runs the three flow analyses over a loaded (but not executed) fabric,
-/// appending diagnostics to `out`. Called by lint::run under
-/// Options::check_flow; exposed for tools that want flow findings alone.
-void run_flow_checks(const wse::Fabric& fabric, const FlowOptions& options,
-                     std::vector<Diagnostic>& out);
 
 }  // namespace fvf::lint

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "lint/color_graph.hpp"
-#include "lint/flow.hpp"
 #include "wse/memory.hpp"
 #include "wse/program.hpp"
 #include "wse/route.hpp"
@@ -39,18 +40,9 @@ class Linter {
 
   [[nodiscard]] Report run() {
     audit_claims();
-    for (u8 c = 0; c < Color::kMaxColors; ++c) {
-      lint_color(Color{c});
-    }
-    if (options_.check_flow) {
-      FlowOptions flow;
-      flow.router_buffer_depth = options_.router_buffer_depth;
-      flow.color_label = options_.color_label;
-      // Occupancy bounds and wait-for reachability are meaningless on a
-      // cyclic routing graph; the routing-cycle finding owns those
-      // colors.
-      flow.skip_colors = cyclic_colors_;
-      run_flow_checks(fabric_, flow, report_.diagnostics);
+    const bool tables = options_.check_routing || options_.check_flow;
+    if (tables || options_.check_reconfiguration) {
+      lint_colors(tables);
     }
     if (options_.check_memory) {
       lint_memory();
@@ -77,18 +69,22 @@ class Linter {
 
   /// The historic load-time route audit: every configured color must be
   /// claimed in the ColorPlan. Iteration order and message text are kept
-  /// verbatim so FabricHarness can preserve its fail-fast contract.
+  /// verbatim so FabricHarness can preserve its fail-fast contract. The
+  /// claim oracle is asked once per color.
   void audit_claims() {
     if (options_.color_claimed == nullptr) {
       return;
+    }
+    detail::ColorSet claimed{};
+    for (u8 c = 0; c < Color::kMaxColors; ++c) {
+      claimed[c] = options_.color_claimed(Color{c});
     }
     for (i32 y = 0; y < fabric_.height(); ++y) {
       for (i32 x = 0; x < fabric_.width(); ++x) {
         const wse::Router& router = fabric_.router(x, y);
         for (u8 c = 0; c < Color::kMaxColors; ++c) {
           const Color color{c};
-          if (!router.config(color).configured() ||
-              options_.color_claimed(color)) {
+          if (claimed[c] || !router.config(color).configured()) {
             continue;
           }
           std::ostringstream os;
@@ -105,21 +101,51 @@ class Linter {
     }
   }
 
-  void lint_color(Color color) {
-    if (options_.check_reconfiguration) {
-      check_reconfiguration(color);
-    }
-    const ColorGraph graph(fabric_, color);
-    if (!options_.check_routing) {
-      // The flow analyses still need to know which colors are cyclic.
+  /// The one pass over the colors: a declaration sweep, then per active
+  /// color one table build that every routing and flow check reads.
+  /// Colors are visited in id order, so the findings keep their order.
+  void lint_colors(bool tables) {
+    std::optional<detail::Declarations> declarations;
+    std::optional<detail::FlowPass> flow;
+    if (tables) {
+      declarations.emplace(fabric_);
       if (options_.check_flow) {
-        check_cycles(graph, color, /*report=*/false);
+        flow.emplace(fabric_, *declarations, options_);
       }
-      return;
     }
-    check_dead_ends(graph, color);
-    check_cycles(graph, color, /*report=*/true);
-    check_sends(graph, color);
+    const detail::ColorSet active = declarations.has_value()
+                                        ? declarations->active()
+                                        : detail::configured_colors(fabric_);
+    ColorGraph graph;
+    detail::Walker walker;
+    for (u8 c = 0; c < Color::kMaxColors; ++c) {
+      if (!active[c]) {
+        continue;
+      }
+      const Color color{c};
+      if (options_.check_reconfiguration) {
+        check_reconfiguration(color);
+      }
+      if (!tables) {
+        continue;
+      }
+      graph.build(fabric_, color);
+      if (options_.check_routing) {
+        check_dead_ends(graph, walker);
+      }
+      // The flow analyses need to know which colors are cyclic even when
+      // the routing findings are not reported.
+      check_cycles(graph, /*report=*/options_.check_routing);
+      if (options_.check_routing) {
+        check_sends(graph, *declarations, walker);
+      }
+      if (flow.has_value() && !cyclic_colors_[c]) {
+        flow->add(graph, walker);
+      }
+    }
+    if (flow.has_value()) {
+      flow->finish(cyclic_colors_, report_.diagnostics);
+    }
   }
 
   void check_reconfiguration(Color color) {
@@ -145,117 +171,77 @@ class Linter {
   /// forever (or fail the run outright when the color is unconfigured
   /// there). Off-fabric outputs are absorbed at the wafer edge by design
   /// and are never findings.
-  void check_dead_ends(const ColorGraph& graph, Color color) {
-    std::vector<bool> reported(graph.node_count(), false);
-    for (i32 y = 0; y < graph.height(); ++y) {
-      for (i32 x = 0; x < graph.width(); ++x) {
-        const Coord2 pe{x, y};
-        if (!graph.config(pe).configured()) {
+  void check_dead_ends(const ColorGraph& graph, detail::Walker& reported) {
+    const Color color = graph.color();
+    reported.begin(graph);
+    for (usize n = 0; n < graph.node_count(); ++n) {
+      for (usize i = 0; i < graph.link_count(n); ++i) {
+        const usize target = graph.target(n, graph.link(n, i));
+        const usize target_pe = ColorGraph::pe_of(target);
+        const Dir arrival = ColorGraph::input_of(target);
+        if (graph.accepts(target_pe, arrival) || !reported.mark_node(target)) {
           continue;
         }
-        for (usize in = 0; in < wse::kLinkCount; ++in) {
-          const Dir input = static_cast<Dir>(in);
-          graph.each_output(pe, input, [&](Dir out) {
-            if (out == Dir::Ramp) {
-              return;
-            }
-            const Coord2 off = wse::dir_offset(out);
-            const Coord2 target{pe.x + off.x, pe.y + off.y};
-            if (!graph.on_fabric(target)) {
-              return;  // absorbed at the wafer edge
-            }
-            const Dir arrival = wse::opposite(out);
-            if (graph.accepts(target, arrival)) {
-              return;
-            }
-            const usize node = graph.node(target, arrival);
-            if (reported[node]) {
-              return;
-            }
-            reported[node] = true;
-            std::ostringstream os;
-            os << label(color) << " is routed from PE(" << pe.x << ','
-               << pe.y << ") into the " << long_dir_name(arrival)
-               << " input of PE(" << target.x << ',' << target.y << "), ";
-            if (graph.config(target).configured()) {
-              os << "which no switch position there accepts: blocks would "
-                    "wait in that router's input buffer forever";
-            } else {
-              os << "where the color is not configured at all: the run "
-                    "would fail at the first wavelet";
-            }
-            add(Check::DeadEnd, Severity::Error, target, color, os.str());
-          });
+        const Coord2 from = graph.coord(ColorGraph::pe_of(n));
+        const Coord2 to = graph.coord(target_pe);
+        std::ostringstream os;
+        os << label(color) << " is routed from PE(" << from.x << ','
+           << from.y << ") into the " << long_dir_name(arrival)
+           << " input of PE(" << to.x << ',' << to.y << "), ";
+        if (graph.configured(target_pe)) {
+          os << "which no switch position there accepts: blocks would "
+                "wait in that router's input buffer forever";
+        } else {
+          os << "where the color is not configured at all: the run "
+                "would fail at the first wavelet";
         }
+        add(Check::DeadEnd, Severity::Error, to, color, os.str());
       }
     }
   }
 
-  /// Depth-first search over the union routing graph; reports the first
-  /// cycle found per color (one finding is enough to localize the knot).
-  void check_cycles(const ColorGraph& graph, Color color, bool report) {
-    enum class Mark : u8 { White, Gray, Black };
-    std::vector<Mark> mark(graph.node_count(), Mark::White);
-    std::vector<std::vector<usize>> succ(graph.node_count());
-    const auto successors = [&](usize n) -> const std::vector<usize>& {
-      std::vector<usize>& out = succ[n];
-      if (!out.empty()) {
-        return out;
-      }
-      const Coord2 pe = graph.pe_of(n);
-      if (graph.config(pe).configured()) {
-        graph.each_output(pe, graph.input_of(n), [&](Dir o) {
-          if (o == Dir::Ramp) {
-            return;
-          }
-          const Coord2 off = wse::dir_offset(o);
-          const Coord2 target{pe.x + off.x, pe.y + off.y};
-          if (graph.on_fabric(target)) {
-            out.push_back(graph.node(target, wse::opposite(o)));
-          }
-        });
-      }
-      return out;
-    };
-
-    struct Frame {
-      usize node = 0;
-      usize next = 0;
-    };
-    std::vector<Frame> stack;
+  /// Depth-first search over the union routing graph; finds the first
+  /// cycle per color (one finding is enough to localize the knot), and
+  /// reports it when `report` is set. Each frame walks its node's links
+  /// in place, so the search allocates nothing per node.
+  void check_cycles(const ColorGraph& graph, bool report) {
+    std::vector<Mark>& mark = marks_;
+    mark.assign(graph.node_count(), Mark::White);
+    std::vector<CycleFrame>& stack = frames_;
     for (usize root = 0; root < graph.node_count(); ++root) {
       if (mark[root] != Mark::White) {
         continue;
       }
-      stack.push_back(Frame{root});
+      stack.clear();
+      stack.push_back(CycleFrame{root});
       mark[root] = Mark::Gray;
       while (!stack.empty()) {
-        Frame& frame = stack.back();
-        const std::vector<usize>& next = successors(frame.node);
-        if (frame.next >= next.size()) {
+        CycleFrame& frame = stack.back();
+        if (frame.next >= graph.link_count(frame.node)) {
           mark[frame.node] = Mark::Black;
           stack.pop_back();
           continue;
         }
-        const usize target = next[frame.next++];
+        const usize target =
+            graph.target(frame.node, graph.link(frame.node, frame.next++));
         if (mark[target] == Mark::Gray) {
-          cyclic_colors_[color.id()] = true;
+          cyclic_colors_[graph.color().id()] = true;
           if (report) {
-            report_cycle(graph, color, stack, target);
+            report_cycle(graph, stack, target);
           }
           return;  // one cycle per color
         }
         if (mark[target] == Mark::White) {
           mark[target] = Mark::Gray;
-          stack.push_back(Frame{target});
+          stack.push_back(CycleFrame{target});
         }
       }
     }
   }
 
   template <typename Frames>
-  void report_cycle(const ColorGraph& graph, Color color,
-                    const Frames& stack, usize back_to) {
+  void report_cycle(const ColorGraph& graph, const Frames& stack,
+                    usize back_to) {
     // The cycle is the stack suffix starting at `back_to`.
     usize start = 0;
     for (usize i = 0; i < stack.size(); ++i) {
@@ -265,15 +251,15 @@ class Linter {
       }
     }
     std::ostringstream os;
-    os << label(color) << " routing forms a cycle: ";
+    os << label(graph.color()) << " routing forms a cycle: ";
     for (usize i = start; i < stack.size(); ++i) {
-      const Coord2 pe = graph.pe_of(stack[i].node);
+      const Coord2 pe = graph.coord(ColorGraph::pe_of(stack[i].node));
       os << "PE(" << pe.x << ',' << pe.y << ") -> ";
     }
-    const Coord2 first = graph.pe_of(back_to);
+    const Coord2 first = graph.coord(ColorGraph::pe_of(back_to));
     os << "PE(" << first.x << ',' << first.y
        << "); wavelets entering it would circulate forever (deadlock)";
-    add(Check::RoutingCycle, Severity::Error, first, color, os.str());
+    add(Check::RoutingCycle, Severity::Error, first, graph.color(), os.str());
   }
 
   /// Send-centric checks: every declared send must have a Ramp-accepting
@@ -281,110 +267,72 @@ class Linter {
   /// Ramp the traffic can reach must handle the color
   /// (unhandled-delivery). Reachability runs over the union graph from
   /// all declared senders of each kind (data / control).
-  void check_sends(const ColorGraph& graph, Color color) {
-    std::vector<Coord2> data_senders;
-    std::vector<Coord2> control_senders;
-    for (i32 y = 0; y < graph.height(); ++y) {
-      for (i32 x = 0; x < graph.width(); ++x) {
-        const wse::PeProgram* program = fabric_.pe(x, y).program();
-        if (program == nullptr) {
-          continue;
-        }
-        bool data = false;
-        bool control = false;
-        for (const wse::SendDeclaration& send : program->send_declarations()) {
-          if (send.color != color) {
-            continue;
-          }
+  void check_sends(const ColorGraph& graph,
+                   const detail::Declarations& declarations,
+                   detail::Walker& walker) {
+    const Color color = graph.color();
+    std::vector<usize> data_starts;
+    std::vector<usize> control_starts;
+    for (usize p = 0; p < graph.pe_count(); ++p) {
+      bool data = false;
+      bool control = false;
+      for (const wse::SendDeclaration& send : declarations.sends(p)) {
+        if (send.color == color) {
           (send.control ? control : data) = true;
         }
-        if (!data && !control) {
-          continue;
+      }
+      if (!data && !control) {
+        continue;
+      }
+      const usize start = ColorGraph::node(p, Dir::Ramp);
+      if (data) {
+        data_starts.push_back(start);
+      }
+      if (control) {
+        control_starts.push_back(start);
+      }
+      if (!graph.accepts(p, Dir::Ramp)) {
+        const Coord2 pe = graph.coord(p);
+        std::ostringstream os;
+        os << "PE(" << pe.x << ',' << pe.y << ") declares a send on "
+           << label(color);
+        if (graph.configured(p)) {
+          os << " but no switch position of that color accepts the Ramp: "
+                "injected wavelets would never leave the PE";
+        } else {
+          os << " but the color is not configured on its router";
         }
-        const Coord2 pe{x, y};
-        if (data) {
-          data_senders.push_back(pe);
-        }
-        if (control) {
-          control_senders.push_back(pe);
-        }
-        if (!graph.accepts(pe, Dir::Ramp)) {
-          std::ostringstream os;
-          os << "PE(" << x << ',' << y << ") declares a send on "
-             << label(color);
-          if (graph.config(pe).configured()) {
-            os << " but no switch position of that color accepts the Ramp: "
-                  "injected wavelets would never leave the PE";
-          } else {
-            os << " but the color is not configured on its router";
-          }
-          add(Check::UnroutedSend, Severity::Error, pe, color, os.str());
-        }
+        add(Check::UnroutedSend, Severity::Error, pe, color, os.str());
       }
     }
-    check_deliveries(graph, color, data_senders, /*control=*/false);
-    check_deliveries(graph, color, control_senders, /*control=*/true);
+    check_deliveries(graph, walker, data_starts, /*control=*/false);
+    check_deliveries(graph, walker, control_starts, /*control=*/true);
   }
 
-  void check_deliveries(const ColorGraph& graph, Color color,
-                        const std::vector<Coord2>& senders, bool control) {
-    if (senders.empty()) {
+  void check_deliveries(const ColorGraph& graph, detail::Walker& walker,
+                        const std::vector<usize>& starts, bool control) {
+    if (starts.empty()) {
       return;
     }
-    // Multi-source BFS from every sender's Ramp injection point.
-    std::vector<bool> visited(graph.node_count(), false);
-    std::vector<usize> frontier;
-    for (const Coord2 pe : senders) {
-      const usize n = graph.node(pe, Dir::Ramp);
-      if (graph.accepts(pe, Dir::Ramp) && !visited[n]) {
-        visited[n] = true;
-        frontier.push_back(n);
+    // Multi-source walk from every sender's Ramp injection point.
+    walker.walk(graph, starts, [](usize) {}, [](usize) {});
+    for (usize p = 0; p < graph.pe_count(); ++p) {
+      if (!walker.pe_marked(p)) {
+        continue;
       }
-    }
-    std::vector<bool> delivered(static_cast<usize>(fabric_.pe_count()),
-                                false);
-    while (!frontier.empty()) {
-      const usize n = frontier.back();
-      frontier.pop_back();
-      const Coord2 pe = graph.pe_of(n);
-      graph.each_output(pe, graph.input_of(n), [&](Dir out) {
-        if (out == Dir::Ramp) {
-          delivered[static_cast<usize>(pe.y) *
-                        static_cast<usize>(graph.width()) +
-                    static_cast<usize>(pe.x)] = true;
-          return;
-        }
-        const Coord2 off = wse::dir_offset(out);
-        const Coord2 target{pe.x + off.x, pe.y + off.y};
-        if (!graph.on_fabric(target)) {
-          return;
-        }
-        const usize t = graph.node(target, wse::opposite(out));
-        if (!visited[t] && graph.accepts(target, wse::opposite(out))) {
-          visited[t] = true;
-          frontier.push_back(t);
-        }
-      });
-    }
-    for (i32 y = 0; y < graph.height(); ++y) {
-      for (i32 x = 0; x < graph.width(); ++x) {
-        if (!delivered[static_cast<usize>(y) *
-                           static_cast<usize>(graph.width()) +
-                       static_cast<usize>(x)]) {
-          continue;
-        }
-        const wse::PeProgram* program = fabric_.pe(x, y).program();
-        if (program == nullptr || program->handles_color(color, control)) {
-          continue;
-        }
-        std::ostringstream os;
-        os << label(color) << ' '
-           << (control ? "control wavelets" : "data blocks")
-           << " can reach the Ramp of PE(" << x << ',' << y
-           << "), whose program does not handle that color";
-        add(Check::UnhandledDelivery, Severity::Error, Coord2{x, y}, color,
-            os.str());
+      const Coord2 pe = graph.coord(p);
+      const wse::PeProgram* program = fabric_.pe(pe.x, pe.y).program();
+      if (program == nullptr ||
+          program->handles_color(graph.color(), control)) {
+        continue;
       }
+      std::ostringstream os;
+      os << label(graph.color()) << ' '
+         << (control ? "control wavelets" : "data blocks")
+         << " can reach the Ramp of PE(" << pe.x << ',' << pe.y
+         << "), whose program does not handle that color";
+      add(Check::UnhandledDelivery, Severity::Error, pe, graph.color(),
+          os.str());
     }
   }
 
@@ -437,7 +385,15 @@ class Linter {
   const wse::Fabric& fabric_;
   const Options& options_;
   Report report_;
-  std::array<bool, Color::kMaxColors> cyclic_colors_{};
+  detail::ColorSet cyclic_colors_{};
+  /// Cycle-search scratch, reused across colors.
+  enum class Mark : u8 { White, Gray, Black };
+  struct CycleFrame {
+    usize node = 0;
+    usize next = 0;  ///< next link of `node` to follow
+  };
+  std::vector<Mark> marks_;
+  std::vector<CycleFrame> frames_;
 };
 
 }  // namespace

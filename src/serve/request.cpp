@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -67,6 +68,17 @@ i64 parse_i64(const std::string& key, const std::string& value) {
                   "request field '" << key << "' has non-integer value '"
                                     << value << "'");
   return static_cast<i64>(parsed);
+}
+
+/// An i32 field: range-checked before narrowing, so an out-of-range
+/// value fails instead of wrapping into a different scenario.
+i32 parse_i32(const std::string& key, const std::string& value) {
+  const i64 parsed = parse_i64(key, value);
+  FVF_REQUIRE_MSG(parsed >= std::numeric_limits<i32>::min() &&
+                      parsed <= std::numeric_limits<i32>::max(),
+                  "request field '" << key << "' = " << value
+                                    << " is out of the 32-bit range");
+  return static_cast<i32>(parsed);
 }
 
 f64 parse_f64(const std::string& key, const std::string& value) {
@@ -163,15 +175,15 @@ ScenarioRequest parse_request(std::string_view line) {
     } else if (key == "backend") {
       request.backend = parse_backend_choice(value);
     } else if (key == "nx") {
-      request.nx = static_cast<i32>(parse_i64(key, value));
+      request.nx = parse_i32(key, value);
     } else if (key == "ny") {
-      request.ny = static_cast<i32>(parse_i64(key, value));
+      request.ny = parse_i32(key, value);
     } else if (key == "nz") {
-      request.nz = static_cast<i32>(parse_i64(key, value));
+      request.nz = parse_i32(key, value);
     } else if (key == "seed") {
       request.seed = static_cast<u64>(parse_i64(key, value));
     } else if (key == "iterations") {
-      request.iterations = static_cast<i32>(parse_i64(key, value));
+      request.iterations = parse_i32(key, value);
     } else if (key == "dt") {
       request.dt = parse_f64(key, value);
     } else if (key == "tol") {
@@ -181,7 +193,7 @@ ScenarioRequest parse_request(std::string_view line) {
     } else if (key == "fault_rate") {
       request.fault_rate = parse_f64(key, value);
     } else if (key == "threads") {
-      request.threads = static_cast<i32>(parse_i64(key, value));
+      request.threads = parse_i32(key, value);
     } else if (key == "lint") {
       request.lint = parse_lint(value);
     } else if (key == "priority") {
@@ -189,7 +201,7 @@ ScenarioRequest parse_request(std::string_view line) {
     } else if (key == "deadline_ms") {
       request.deadline_ms = static_cast<u64>(parse_i64(key, value));
     } else if (key == "checkpoint_every") {
-      request.checkpoint_every = static_cast<i32>(parse_i64(key, value));
+      request.checkpoint_every = parse_i32(key, value);
     } else {
       FVF_REQUIRE_MSG(false, "unknown request field '" << key << "'");
     }

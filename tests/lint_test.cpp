@@ -199,6 +199,84 @@ TEST(LintHarnessTest, WarnReportsButLoadsAndOffSkipsChecks) {
   }
 }
 
+/// Counts how often lint asks it for each kind of declaration.
+struct DeclarationCalls {
+  usize sends = 0;
+  usize dependencies = 0;
+  usize reductions = 0;
+};
+
+/// Sends on a claimed color eastward and delivers what arrives from the
+/// west: lints clean at every level, and counts its declaration calls.
+class CountingProgram final : public wse::PeProgram {
+ public:
+  explicit CountingProgram(DeclarationCalls& calls) : calls_(calls) {}
+  void configure_router(wse::Router& router) override {
+    router.configure(
+        wse::Color{0},
+        wse::ColorConfig({wse::position(
+            {wse::RouteRule{wse::Dir::Ramp, {wse::Dir::East}},
+             wse::RouteRule{wse::Dir::West, {wse::Dir::Ramp}}})}));
+  }
+  [[nodiscard]] std::vector<wse::SendDeclaration> send_declarations()
+      const override {
+    ++calls_.sends;
+    return {{wse::Color{0}, false}};
+  }
+  [[nodiscard]] std::vector<wse::ChannelDependency> channel_dependencies()
+      const override {
+    ++calls_.dependencies;
+    return {};
+  }
+  [[nodiscard]] std::vector<wse::ReductionDeclaration>
+  reduction_declarations() const override {
+    ++calls_.reductions;
+    return {};
+  }
+  void on_start(wse::PeApi&) override {}
+  void on_data(wse::PeApi&, wse::Color, wse::Dir,
+               std::span<const u32>) override {}
+
+ private:
+  DeclarationCalls& calls_;
+};
+
+/// Loads CountingProgram on a 3x2 fabric at `level`, then asks for the
+/// report `reports` times; returns the declaration calls.
+DeclarationCalls count_declaration_calls(Level level, int reports) {
+  DeclarationCalls calls;
+  dataflow::HarnessOptions options;
+  options.lint = level;
+  dataflow::FabricHarness harness(Coord2{3, 2}, options);
+  harness.colors().claim("lint test color", 0, 1);
+  harness.load<CountingProgram>([&](Coord2, Coord2) {
+    return std::make_unique<CountingProgram>(calls);
+  });
+  for (int i = 0; i < reports; ++i) {
+    EXPECT_TRUE(harness.lint_report().clean());
+  }
+  return calls;
+}
+
+TEST(LintHarnessTest, OneDeclarationSweepPerLoad) {
+  constexpr usize kPes = 6;
+  // A Strict gate lints once; lint_report() returns the gate's report.
+  const DeclarationCalls strict = count_declaration_calls(Level::Strict, 1);
+  EXPECT_EQ(strict.sends, kPes);
+  EXPECT_EQ(strict.dependencies, kPes);
+  EXPECT_EQ(strict.reductions, kPes);
+  // An Off load runs the claim audit alone; lint_report() lints afresh.
+  const DeclarationCalls off = count_declaration_calls(Level::Off, 1);
+  EXPECT_EQ(off.sends, kPes);
+  EXPECT_EQ(off.dependencies, kPes);
+  EXPECT_EQ(off.reductions, kPes);
+  // An Off load that nobody asks for a report sweeps nothing.
+  const DeclarationCalls audit_only = count_declaration_calls(Level::Off, 0);
+  EXPECT_EQ(audit_only.sends, 0u);
+  EXPECT_EQ(audit_only.dependencies, 0u);
+  EXPECT_EQ(audit_only.reductions, 0u);
+}
+
 // --- shipped programs lint clean --------------------------------------------
 
 physics::FlowProblem small_problem() {

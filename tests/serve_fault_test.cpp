@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "serve/request.hpp"
 #include "serve/response.hpp"
 #include "serve/service.hpp"
@@ -379,6 +380,56 @@ std::string read_file(const char* path) {
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+// --- untrusted numeric fields ----------------------------------------------
+
+/// The message parse_request throws for `line`, or "" if it parses.
+std::string rejection(const std::string& line) {
+  try {
+    (void)parse_request(line);
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ServeInputTest, OutOfRangeFieldsAreRejectedBeforeAnyLaunch) {
+  // Each probe used to run: the integers wrapped into a different,
+  // valid scenario, and the infinities were accepted. Parsing resolves
+  // and validates the request, so a rejection here happens before any
+  // fabric or thread exists.
+  struct Probe {
+    const char* field;
+    const char* value;
+  };
+  for (const Probe& probe : {Probe{"nx", "4294967300"},
+                             Probe{"iterations", "4294967298"},
+                             Probe{"threads", "1000000"},
+                             Probe{"threads", "4294967297"},
+                             Probe{"checkpoint_every", "-4294967295"},
+                             Probe{"nx", "751"},
+                             Probe{"ny", "995"},
+                             Probe{"nz", "12289"}}) {
+    const std::string message = rejection(
+        std::string("program=tpfa nx=4 ny=4 nz=3 ") + probe.field + "=" +
+        probe.value);
+    EXPECT_NE(message.find(std::string("'") + probe.field + "'"),
+              std::string::npos)
+        << probe.field << "=" << probe.value << ": " << message;
+    EXPECT_NE(message.find(probe.value), std::string::npos)
+        << probe.field << "=" << probe.value << ": " << message;
+  }
+  for (const char* line : {"program=cg nx=4 ny=4 nz=3 dt=inf",
+                           "program=wave nx=4 ny=4 nz=3 dt=inf",
+                           "program=heat nx=4 ny=4 nz=3 tol=inf",
+                           "program=cg nx=4 ny=4 nz=3 tol=nan"}) {
+    const std::string message = rejection(line);
+    EXPECT_NE(message.find("must be positive and finite"), std::string::npos)
+        << line << ": " << message;
+  }
+  // The largest accepted values still parse.
+  EXPECT_EQ(rejection("program=tpfa nx=750 ny=994 nz=12288 threads=256"), "");
 }
 
 /// Uses the checkpoint fixture's scratch directory for the resumed job.

@@ -99,8 +99,6 @@ class ColorGraph {
   void build(const wse::Fabric& fabric, wse::Color color);
 
   [[nodiscard]] wse::Color color() const noexcept { return color_; }
-  [[nodiscard]] i32 width() const noexcept { return width_; }
-  [[nodiscard]] i32 height() const noexcept { return height_; }
   [[nodiscard]] bool on_fabric(Coord2 pe) const noexcept {
     return pe.x >= 0 && pe.x < width_ && pe.y >= 0 && pe.y < height_;
   }
@@ -153,9 +151,9 @@ class ColorGraph {
   [[nodiscard]] wse::Dir link(usize n, usize i) const noexcept {
     return static_cast<wse::Dir>((links_[n] >> (3 + 2 * i)) & 0x3u);
   }
-  /// Whether node `n` has an output link through `out`.
-  [[nodiscard]] bool links_to(usize n, wse::Dir out) const noexcept {
-    return (links_[n] & (1u << (kMaskShift + static_cast<u32>(out)))) != 0;
+  /// The output links of node `n` as a mask, bit d for wse::Dir d.
+  [[nodiscard]] u32 link_mask(usize n) const noexcept {
+    return (links_[n] >> kMaskShift) & 0xFu;
   }
   /// The node a block leaving node `n` through output link `out` enters.
   [[nodiscard]] usize target(usize n, wse::Dir out) const noexcept {
@@ -304,8 +302,10 @@ class FlowPass {
              wse::Color::kMaxColors>
       samples_;
 
-  /// Wait-for: a copy of each dependency color's table.
-  std::vector<ColorGraph> dependency_graphs_;
+  /// Wait-for: what the search reads of each dependency color's table,
+  /// one byte per node — the output-link mask (bits 0-3) and the
+  /// delivers-to-Ramp bit (bit 4).
+  std::vector<std::pair<wse::Color, std::vector<u8>>> wait_tables_;
 };
 
 }  // namespace fvf::lint::detail

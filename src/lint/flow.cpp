@@ -44,6 +44,10 @@ using wse::Dir;
 // Cross-color wait-for analysis
 // ---------------------------------------------------------------------------
 
+/// The delivers-to-Ramp bit of a wait table node; bits 0-3 are the
+/// node's output-link mask.
+constexpr u8 kWaitRamp = 1u << 4;
+
 /// The wait-for graph the deadlock check runs a cycle search on. Two node
 /// kinds, both restricted to the colors that appear in some declared
 /// ChannelDependency:
@@ -62,17 +66,20 @@ using wse::Dir;
 /// schedule can escape.
 class WaitForGraph {
  public:
-  /// `graphs` holds the table of each color in `colors`, in that order.
-  WaitForGraph(const Declarations& declarations, std::vector<Color> colors,
-               std::vector<const ColorGraph*> graphs)
-      : declarations_(declarations),
+  /// `tables` holds the wait table (FlowPass::wait_tables_) of each color
+  /// in `colors`, in that order.
+  WaitForGraph(const wse::Fabric& fabric, const Declarations& declarations,
+               std::vector<Color> colors,
+               std::vector<const std::vector<u8>*> tables)
+      : fabric_(fabric),
+        declarations_(declarations),
         colors_(std::move(colors)),
-        graphs_(std::move(graphs)) {
+        tables_(std::move(tables)) {
     slot_of_.fill(kNoSlot);
     for (usize slot = 0; slot < colors_.size(); ++slot) {
       slot_of_[colors_[slot].id()] = slot;
     }
-    pe_count_ = graphs_.front()->pe_count();
+    pe_count_ = static_cast<usize>(fabric.pe_count());
     routing_nodes_ = pe_count_ * detail::kLinks;
     sends_at_.assign(pe_count_, 0);
     for (usize p = 0; p < pe_count_; ++p) {
@@ -104,7 +111,7 @@ class WaitForGraph {
     return colors_[n / routing_nodes_];
   }
   [[nodiscard]] Coord2 coord(usize pe) const noexcept {
-    return graphs_.front()->coord(pe);
+    return lint::coord(fabric_, pe);
   }
 
   [[nodiscard]] usize obligation_node(usize slot, usize pe) const noexcept {
@@ -127,7 +134,7 @@ class WaitForGraph {
         for (usize in = 0; in < detail::kLinks; ++in) {
           const usize node = ColorGraph::node(p, static_cast<Dir>(in));
           if (static_cast<Dir>(in) != Dir::Ramp &&
-              graphs_[slot]->delivers_to_ramp(node)) {
+              ((*tables_[slot])[node] & kWaitRamp) != 0) {
             out.push_back(slot * routing_nodes_ + node);
           }
         }
@@ -135,7 +142,7 @@ class WaitForGraph {
       return;
     }
     const usize slot = n / routing_nodes_;
-    const ColorGraph& graph = *graphs_[slot];
+    const std::vector<u8>& table = *tables_[slot];
     const usize local = n % routing_nodes_;
     const Dir input = ColorGraph::input_of(local);
     if (input == Dir::Ramp) {
@@ -148,17 +155,20 @@ class WaitForGraph {
     }
     // Arrived over a link: the block was forwarded by the upstream
     // neighbour, through any of its inputs whose rules output toward us.
-    const Coord2 pe = graph.coord(ColorGraph::pe_of(local));
+    const Coord2 pe = coord(ColorGraph::pe_of(local));
     const Coord2 off = wse::dir_offset(input);
     const Coord2 src{pe.x + off.x, pe.y + off.y};
-    if (!graph.on_fabric(src)) {
+    if (src.x < 0 || src.x >= fabric_.width() || src.y < 0 ||
+        src.y >= fabric_.height()) {
       return;
     }
-    const usize src_pe = graph.pe_index(src);
-    const Dir toward_us = wse::opposite(input);
+    const usize src_pe =
+        static_cast<usize>(src.y) * static_cast<usize>(fabric_.width()) +
+        static_cast<usize>(src.x);
+    const u32 toward_us = 1u << static_cast<u32>(wse::opposite(input));
     for (usize in = 0; in < detail::kLinks; ++in) {
       const usize node = ColorGraph::node(src_pe, static_cast<Dir>(in));
-      if (graph.links_to(node, toward_us)) {
+      if ((table[node] & toward_us) != 0) {
         out.push_back(slot * routing_nodes_ + node);
       }
     }
@@ -172,9 +182,10 @@ class WaitForGraph {
  private:
   static constexpr usize kNoSlot = static_cast<usize>(-1);
 
+  const wse::Fabric& fabric_;
   const Declarations& declarations_;
   std::vector<Color> colors_;
-  std::vector<const ColorGraph*> graphs_;
+  std::vector<const std::vector<u8>*> tables_;
   std::array<usize, Color::kMaxColors> slot_of_{};
   usize pe_count_ = 0;
   usize routing_nodes_ = 0;
@@ -316,7 +327,12 @@ void FlowPass::add(const ColorGraph& graph, Walker& walker) {
     add_reach(graph, walker);
   }
   if (dependency_colors_[graph.color().id()]) {
-    dependency_graphs_.push_back(graph);
+    std::vector<u8> table(graph.node_count());
+    for (usize n = 0; n < table.size(); ++n) {
+      table[n] = static_cast<u8>(graph.link_mask(n) |
+                                 (graph.delivers_to_ramp(n) ? kWaitRamp : 0));
+    }
+    wait_tables_.emplace_back(graph.color(), std::move(table));
   }
 }
 
@@ -490,18 +506,18 @@ void FlowPass::check_deadlock(const ColorSet& cyclic,
     }
   }
   std::vector<Color> colors;
-  std::vector<const ColorGraph*> graphs;
-  for (const ColorGraph& graph : dependency_graphs_) {
-    if (interesting[graph.color().id()]) {
-      colors.push_back(graph.color());
-      graphs.push_back(&graph);
+  std::vector<const std::vector<u8>*> tables;
+  for (const auto& [color, table] : wait_tables_) {
+    if (interesting[color.id()]) {
+      colors.push_back(color);
+      tables.push_back(&table);
     }
   }
   if (colors.empty()) {
     return;
   }
-  const WaitForGraph wait(declarations_, std::move(colors),
-                          std::move(graphs));
+  const WaitForGraph wait(fabric_, declarations_, std::move(colors),
+                          std::move(tables));
 
   // Iterative DFS. Each frame's successors are a range of one shared
   // pool, so the search allocates nothing per node.

@@ -35,6 +35,7 @@
 #include "lint/lint.hpp"
 #include "physics/problem.hpp"
 #include "spec/compile.hpp"
+#include "wse/memory.hpp"
 
 namespace fvf::core {
 class FabricImpesSimulator;
@@ -202,11 +203,12 @@ struct KernelRecord {
 
 /// Upper bounds resolve_spec enforces. nx and ny are the paper's
 /// 750x994 fabric, one PE per mesh column. nz is the deepest column a PE
-/// could hold: one f32 per cell in the 48 KiB PE memory. threads bounds
-/// the engine's host thread pool.
+/// could hold: one f32 per cell in the default PE memory budget. threads
+/// bounds the engine's host thread pool.
 inline constexpr i32 kMaxNx = 750;
 inline constexpr i32 kMaxNy = 994;
-inline constexpr i32 kMaxNz = 48 * 1024 / 4;
+inline constexpr i32 kMaxNz =
+    static_cast<i32>(wse::PeMemory::kDefaultBudget / sizeof(f32));
 inline constexpr i32 kMaxThreads = 256;
 
 /// Returns `spec` with the 0 sentinels replaced by the kernel record's

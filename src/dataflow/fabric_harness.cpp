@@ -60,6 +60,9 @@ lint::Options FabricHarness::lint_options(bool full) const {
 }
 
 void FabricHarness::verify_load() {
+  // Drop the previous load's gate report first: this load may throw
+  // below, and lint_report() must then lint the programs loaded now.
+  gate_report_.reset();
   const bool full = options_.lint != lint::Level::Off;
   lint::Report report = lint::run(fabric_, lint_options(full));
   // A configured-but-unclaimed color fails the load at every lint level:
@@ -73,7 +76,6 @@ void FabricHarness::verify_load() {
   // An Off load ran only the claim audit, which is not a full report. A
   // Warn or Strict gate ran the full analysis: keep it for lint_report(),
   // so a load lints once.
-  gate_report_.reset();
   if (!full) {
     return;
   }

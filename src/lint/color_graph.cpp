@@ -53,12 +53,6 @@ Declarations::Declarations(const wse::Fabric& fabric)
         }
         reductions_.push_back(std::move(red));
       }
-      if (send_begin_.size() == 1) {
-        // Most fabrics load one program shape everywhere: size the
-        // tables from the first PE rather than by repeated doubling.
-        sends_.reserve(sends_.size() * pe_count);
-        deps_.reserve(deps_.size() * pe_count);
-      }
     }
   }
   send_begin_.push_back(static_cast<u32>(sends_.size()));

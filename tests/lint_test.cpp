@@ -199,6 +199,35 @@ TEST(LintHarnessTest, WarnReportsButLoadsAndOffSkipsChecks) {
   }
 }
 
+/// Configures no router and declares nothing: lints clean everywhere.
+class IdleProgram final : public wse::PeProgram {
+ public:
+  void configure_router(wse::Router&) override {}
+  void on_start(wse::PeApi&) override {}
+  void on_data(wse::PeApi&, wse::Color, wse::Dir,
+               std::span<const u32>) override {}
+};
+
+TEST(LintHarnessTest, FailedReloadDropsThePreviousGateReport) {
+  for (const Level level : {Level::Warn, Level::Strict}) {
+    dataflow::HarnessOptions options;
+    options.lint = level;
+    dataflow::FabricHarness harness(Coord2{1, 1}, options);
+    harness.load<IdleProgram>(
+        [](Coord2, Coord2) { return std::make_unique<IdleProgram>(); });
+    EXPECT_TRUE(harness.lint_report().clean());
+    EXPECT_THROW(harness.load<UnclaimedConfigProgram>([](Coord2, Coord2) {
+      return std::make_unique<UnclaimedConfigProgram>();
+    }),
+                 ContractViolation);
+    // The report describes the programs loaded now, not the first gate.
+    const Report report = harness.lint_report();
+    ASSERT_FALSE(report.diagnostics.empty());
+    EXPECT_EQ(report.diagnostics.front().check, Check::UnclaimedColor)
+        << report.describe();
+  }
+}
+
 /// Counts how often lint asks it for each kind of declaration.
 struct DeclarationCalls {
   usize sends = 0;

@@ -56,10 +56,11 @@ int run(int argc, const char** argv) {
   kernel.iterations = scale.iterations;
   const auto compiled = std::make_shared<const spec::CompiledSpec>(
       spec::compile(core::make_tpfa_spec(kernel)));
+  core::ColumnExtractor columns(problem);
   fabric.load([&](Coord2 coord, Coord2 fabric_size) {
     return std::make_unique<core::TpfaPeProgram>(
         coord, fabric_size, ext, kernel, problem.fluid(),
-        core::extract_column(problem, coord.x, coord.y), compiled);
+        columns(coord.x, coord.y), compiled);
   });
   const wse::RunReport report = fabric.run();
   if (!report.ok()) {

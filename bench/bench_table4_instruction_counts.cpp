@@ -25,10 +25,11 @@ int run(int argc, const char** argv) {
   std::vector<core::TpfaPeProgram*> programs(9, nullptr);
   const auto compiled = std::make_shared<const spec::CompiledSpec>(
       spec::compile(core::make_tpfa_spec(kernel)));
+  core::ColumnExtractor columns(problem);
   fabric.load([&](Coord2 coord, Coord2 fabric_size) {
     auto program = std::make_unique<core::TpfaPeProgram>(
         coord, fabric_size, ext, kernel, problem.fluid(),
-        core::extract_column(problem, coord.x, coord.y), compiled);
+        columns(coord.x, coord.y), compiled);
     programs[static_cast<usize>(coord.y) * 3 + static_cast<usize>(coord.x)] =
         program.get();
     return program;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "common/array3d.hpp"
 #include "core/tpfa_program.hpp"
@@ -28,11 +29,44 @@ struct DataflowResult : dataflow::RunInfo {
   Array3<f32> pressure;
 };
 
-/// Extracts the per-PE column data for PE (x, y) from the global problem
-/// (the "host memcpy" phase: initial pressure, static geometry, and
-/// transmissibility columns).
-[[nodiscard]] PeColumnData extract_column(const physics::FlowProblem& problem,
-                                          i32 x, i32 y);
+/// Reads per-PE z-columns of same-extents 3-D arrays one fabric row at a
+/// time. A z-column is strided by a whole x-y plane, so reading the
+/// arrays column by column thrashes cache sets and the TLB. Instead the
+/// first column asked for in row y copies that row's segment of every
+/// z-plane (contiguous reads) into a scratch buffer laid out column by
+/// column; every column of the row is then a contiguous copy from it.
+/// Loads build programs in raster order, so each row is read once. The
+/// scratch holds one row (arrays × nx × nz values), not the fabric.
+class RowColumns {
+ public:
+  explicit RowColumns(std::vector<const Array3<f32>*> arrays);
+
+  /// A copy of column (x, y) of array `a`.
+  [[nodiscard]] std::vector<f32> column(usize a, i32 x, i32 y);
+
+ private:
+  std::vector<const Array3<f32>*> arrays_;
+  Extents3 ext_;
+  i32 row_ = -1;
+  std::vector<f32> scratch_;
+};
+
+/// Extracts the per-PE column data (the "host memcpy" phase: initial
+/// pressure, static geometry, and transmissibility columns) from the
+/// global problem, reading it a fabric row at a time (RowColumns).
+class ColumnExtractor {
+ public:
+  explicit ColumnExtractor(const physics::FlowProblem& problem);
+
+  /// The column data of PE (x, y). Each new row y reads that row of
+  /// every array, so a load calls this in raster order.
+  [[nodiscard]] PeColumnData operator()(i32 x, i32 y);
+
+ private:
+  const physics::FlowProblem& problem_;
+  /// Initial pressure, then the transmissibility faces in stencil order.
+  RowColumns rows_;
+};
 
 /// A loaded-but-not-run TPFA launch: the harness (for static lint or an
 /// actual run) plus the typed program grid for gathering results. Every

@@ -228,28 +228,23 @@ TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
   FVF_REQUIRE(pressure.extents() == ext);
   FVF_REQUIRE(well_rate.extents() == ext);
 
+  // Geometry via the shared column extractor, the dynamic fields through
+  // the same row-at-a-time reader.
+  ColumnExtractor geometry_columns(problem);
+  RowColumns fields({&saturation, &pressure, &well_rate});
   return spec::launch<TransportLoad>(
       make_transport_spec(options.kernel), ext, options, options.reliability,
       [&](Coord2 coord, Coord2 fabric_size,
           const spec::LaunchBindings& bindings) {
-        // Geometry via the shared column extractor, dynamic fields by hand.
-        PeColumnData geometry = extract_column(problem, coord.x, coord.y);
+        PeColumnData geometry = geometry_columns(coord.x, coord.y);
         PeTransportData data;
         data.elevation = std::move(geometry.elevation);
         data.elevation_cardinal = std::move(geometry.elevation_cardinal);
         data.elevation_diagonal = std::move(geometry.elevation_diagonal);
         data.trans = std::move(geometry.trans);
-        const usize n = static_cast<usize>(ext.nz);
-        data.saturation.resize(n);
-        data.pressure.resize(n);
-        data.well_rate.resize(n);
-        for (i32 z = 0; z < ext.nz; ++z) {
-          data.saturation[static_cast<usize>(z)] =
-              saturation(coord.x, coord.y, z);
-          data.pressure[static_cast<usize>(z)] = pressure(coord.x, coord.y, z);
-          data.well_rate[static_cast<usize>(z)] =
-              well_rate(coord.x, coord.y, z);
-        }
+        data.saturation = fields.column(0, coord.x, coord.y);
+        data.pressure = fields.column(1, coord.x, coord.y);
+        data.well_rate = fields.column(2, coord.x, coord.y);
         return std::make_unique<TransportPeProgram>(
             coord, fabric_size, ext.nz, bindings,
             std::make_unique<TransportKernel>(ext.nz, options.kernel,

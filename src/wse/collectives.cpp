@@ -131,7 +131,7 @@ void AllReduceSum::unpack(PeApi& api, std::span<const u32> data,
 void AllReduceSum::add_into(PeApi& api, std::vector<f32>& acc,
                             std::span<const f32> v) {
   FVF_REQUIRE(acc.size() == v.size());
-  const Dsd operand{const_cast<f32*>(v.data()), length_, 1};
+  const Dsd operand{const_cast<f32*>(v.data()), length_};
   switch (op_) {
     case ReduceOp::Sum:
       // acc += v, charged as one vector FADD.

@@ -27,6 +27,20 @@ constexpr u64 kWindowEventCap = u64{1} << 22;
 /// healthy program bounds its same-timestamp event population, so the
 /// limit is only reached when simulated time is genuinely stuck.
 constexpr u32 kStallLimit = 16;
+
+/// The one element loop behind every DSD op: dest[i] = op(src[i]...).
+/// Each operand is loaded before the store, so a select compiles
+/// branch-free, and plain indexing over raw pointers lets the compiler
+/// vectorize the loop. Its runtime alias check falls back to the
+/// sequential loop wherever an overlap could change the result, so exact
+/// aliasing and partial overlaps keep their element-by-element meaning.
+template <typename Op, typename... Src>
+void map_dsd(Dsd dest, Op op, const Src*... src) {
+  f32* const out = dest.base;
+  for (i32 i = 0; i < dest.length; ++i) {
+    out[i] = op(src[i]...);
+  }
+}
 }  // namespace
 
 namespace detail {
@@ -341,7 +355,7 @@ void PeApi::set_phase(obs::Phase phase) noexcept {
   pe_.phase_mark_ = pe_.clock_;
 }
 
-void PeApi::charge_vector_op(i32 length, u32 loads_per_element) {
+void PeApi::charge_vector_cycles(i32 length) {
   FVF_REQUIRE(length >= 0);
   const FabricTimings& t = fabric_.timings_;
   const f64 issue = fabric_.exec_.vectorized
@@ -349,6 +363,10 @@ void PeApi::charge_vector_op(i32 length, u32 loads_per_element) {
                         : t.vector_op_issue_cycles * static_cast<f64>(length);
   pe_.clock_ +=
       issue + static_cast<f64>(length) * t.cycles_per_vector_element;
+}
+
+void PeApi::charge_vector_op(i32 length, u32 loads_per_element) {
+  charge_vector_cycles(length);
   pe_.counters_.mem_loads += static_cast<u64>(length) * loads_per_element;
   pe_.counters_.mem_stores += static_cast<u64>(length);
 }
@@ -356,9 +374,7 @@ void PeApi::charge_vector_op(i32 length, u32 loads_per_element) {
 void PeApi::fmuls(Dsd dest, Dsd a, Dsd b) {
   FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
   check_dsd_hazards("fmuls", dest, a, b);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) * b.at(i);
-  }
+  map_dsd(dest, [](f32 x, f32 y) { return x * y; }, a.base, b.base);
   pe_.counters_.fmul += static_cast<u64>(dest.length);
   charge_vector_op(dest.length, 2);
 }
@@ -366,9 +382,7 @@ void PeApi::fmuls(Dsd dest, Dsd a, Dsd b) {
 void PeApi::fmuls(Dsd dest, Dsd a, f32 scalar) {
   FVF_REQUIRE(dest.length == a.length);
   check_dsd_hazards("fmuls", dest, a);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) * scalar;
-  }
+  map_dsd(dest, [scalar](f32 x) { return x * scalar; }, a.base);
   pe_.counters_.fmul += static_cast<u64>(dest.length);
   charge_vector_op(dest.length, 2);
 }
@@ -376,9 +390,7 @@ void PeApi::fmuls(Dsd dest, Dsd a, f32 scalar) {
 void PeApi::fadds(Dsd dest, Dsd a, Dsd b) {
   FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
   check_dsd_hazards("fadds", dest, a, b);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) + b.at(i);
-  }
+  map_dsd(dest, [](f32 x, f32 y) { return x + y; }, a.base, b.base);
   pe_.counters_.fadd += static_cast<u64>(dest.length);
   charge_vector_op(dest.length, 2);
 }
@@ -386,9 +398,7 @@ void PeApi::fadds(Dsd dest, Dsd a, Dsd b) {
 void PeApi::fsubs(Dsd dest, Dsd a, Dsd b) {
   FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
   check_dsd_hazards("fsubs", dest, a, b);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) - b.at(i);
-  }
+  map_dsd(dest, [](f32 x, f32 y) { return x - y; }, a.base, b.base);
   pe_.counters_.fsub += static_cast<u64>(dest.length);
   charge_vector_op(dest.length, 2);
 }
@@ -396,9 +406,7 @@ void PeApi::fsubs(Dsd dest, Dsd a, Dsd b) {
 void PeApi::fsubs(Dsd dest, Dsd a, f32 scalar) {
   FVF_REQUIRE(dest.length == a.length);
   check_dsd_hazards("fsubs", dest, a);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) - scalar;
-  }
+  map_dsd(dest, [scalar](f32 x) { return x - scalar; }, a.base);
   pe_.counters_.fsub += static_cast<u64>(dest.length);
   charge_vector_op(dest.length, 2);
 }
@@ -406,9 +414,7 @@ void PeApi::fsubs(Dsd dest, Dsd a, f32 scalar) {
 void PeApi::fnegs(Dsd dest, Dsd a) {
   FVF_REQUIRE(dest.length == a.length);
   check_dsd_hazards("fnegs", dest, a);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = -a.at(i);
-  }
+  map_dsd(dest, [](f32 x) { return -x; }, a.base);
   pe_.counters_.fneg += static_cast<u64>(dest.length);
   charge_vector_op(dest.length, 1);
 }
@@ -417,9 +423,8 @@ void PeApi::fmacs(Dsd dest, Dsd a, Dsd b, Dsd c) {
   FVF_REQUIRE(dest.length == a.length && dest.length == b.length &&
               dest.length == c.length);
   check_dsd_hazards("fmacs", dest, a, b, c);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) * b.at(i) + c.at(i);
-  }
+  map_dsd(dest, [](f32 x, f32 y, f32 z) { return x * y + z; }, a.base,
+          b.base, c.base);
   pe_.counters_.fma += static_cast<u64>(dest.length);
   charge_vector_op(dest.length, 3);
 }
@@ -427,9 +432,8 @@ void PeApi::fmacs(Dsd dest, Dsd a, Dsd b, Dsd c) {
 void PeApi::fmacs(Dsd dest, Dsd a, f32 scalar, Dsd c) {
   FVF_REQUIRE(dest.length == a.length && dest.length == c.length);
   check_dsd_hazards("fmacs", dest, a, c);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) * scalar + c.at(i);
-  }
+  map_dsd(dest, [scalar](f32 x, f32 z) { return x * scalar + z; }, a.base,
+          c.base);
   pe_.counters_.fma += static_cast<u64>(dest.length);
   charge_vector_op(dest.length, 3);
 }
@@ -438,24 +442,16 @@ void PeApi::selects(Dsd dest, Dsd pred, Dsd a, Dsd b) {
   FVF_REQUIRE(dest.length == pred.length && dest.length == a.length &&
               dest.length == b.length);
   check_dsd_hazards("selects", dest, pred, a, b);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = pred.at(i) > 0.0f ? a.at(i) : b.at(i);
-  }
+  map_dsd(dest, [](f32 q, f32 x, f32 y) { return q > 0.0f ? x : y; },
+          pred.base, a.base, b.base);
   // Predicated move: cycles, no FP instruction counts, no Table 4 traffic.
-  const FabricTimings& t = fabric_.timings_;
-  const f64 issue = fabric_.exec_.vectorized
-                        ? t.vector_op_issue_cycles
-                        : t.vector_op_issue_cycles * static_cast<f64>(dest.length);
-  pe_.clock_ +=
-      issue + static_cast<f64>(dest.length) * t.cycles_per_vector_element;
+  charge_vector_cycles(dest.length);
 }
 
 void PeApi::fmovs(Dsd dest, FabricDsd src) {
   FVF_REQUIRE(dest.length == src.length);
   check_receive_hazard(dest);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = unpack_f32(src.base[i]);
-  }
+  map_dsd(dest, [](u32 bits) { return unpack_f32(bits); }, src.base);
   pe_.counters_.fmov += static_cast<u64>(dest.length);
   pe_.counters_.mem_stores += static_cast<u64>(dest.length);
   pe_.clock_ += static_cast<f64>(dest.length) *
@@ -463,15 +459,8 @@ void PeApi::fmovs(Dsd dest, FabricDsd src) {
 }
 
 void PeApi::zeros(Dsd dest) {
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = 0.0f;
-  }
-  const FabricTimings& t = fabric_.timings_;
-  const f64 issue = fabric_.exec_.vectorized
-                        ? t.vector_op_issue_cycles
-                        : t.vector_op_issue_cycles * static_cast<f64>(dest.length);
-  pe_.clock_ +=
-      issue + static_cast<f64>(dest.length) * t.cycles_per_vector_element;
+  map_dsd(dest, [] { return 0.0f; });
+  charge_vector_cycles(dest.length);
 }
 
 void PeApi::scalar_ops(u64 count) {

@@ -307,8 +307,10 @@ class PeApi {
  private:
   friend class Fabric;
 
-  /// Shared per-element loop: charges one vector op of length n and the
-  /// Table 4 memory traffic (loads per element, one store per element).
+  /// Charges the cycles of one vector op of length n (issue + per-element).
+  void charge_vector_cycles(i32 length);
+  /// charge_vector_cycles plus the Table 4 memory traffic (loads per
+  /// element, one store per element).
   void charge_vector_op(i32 length, u32 loads_per_element);
 
   /// Hazard_check hooks (no-ops when the option is off): flags sources

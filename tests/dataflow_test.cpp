@@ -251,10 +251,11 @@ TEST(DataflowTrafficTest, InteriorPeInstructionMixMatchesTable4) {
   kernel.iterations = 1;
   const auto compiled = std::make_shared<const spec::CompiledSpec>(
       spec::compile(make_tpfa_spec(kernel)));
+  ColumnExtractor columns(problem);
   fabric.load([&](Coord2 coord, Coord2 fabric_size) {
     auto program = std::make_unique<TpfaPeProgram>(
         coord, fabric_size, problem.extents(), kernel, problem.fluid(),
-        extract_column(problem, coord.x, coord.y), compiled);
+        columns(coord.x, coord.y), compiled);
     programs[static_cast<usize>(coord.y) * 3 + static_cast<usize>(coord.x)] =
         program.get();
     return program;

@@ -211,10 +211,11 @@ u64 run_wafer_smoke(i32 nx, i32 ny, u64 budget) {
   wse::Fabric fabric(nx, ny, {}, wse::PeMemory::kDefaultBudget, exec);
   const auto compiled = std::make_shared<const spec::CompiledSpec>(
       spec::compile(core::make_tpfa_spec(kernel)));
+  core::ColumnExtractor columns(problem);
   fabric.load([&](Coord2 coord, Coord2 size) {
     return std::make_unique<core::TpfaPeProgram>(
         coord, size, problem.extents(), kernel, problem.fluid(),
-        core::extract_column(problem, coord.x, coord.y), compiled);
+        columns(coord.x, coord.y), compiled);
   });
   const wse::RunReport report = fabric.run(budget);
   // A budget stop is expected at these scales; what the smoke test

@@ -22,11 +22,11 @@ physics::FlowProblem make_problem(i32 nx, i32 ny, i32 nz, u64 seed = 42) {
   return physics::FlowProblem(spec);
 }
 
-// --- extract_column -----------------------------------------------------------
+// --- ColumnExtractor ----------------------------------------------------------
 
 TEST(ExtractColumnTest, PressureAndTransmissibilityColumns) {
   const physics::FlowProblem problem = make_problem(4, 3, 5);
-  const PeColumnData data = extract_column(problem, 2, 1);
+  const PeColumnData data = ColumnExtractor(problem)(2, 1);
   ASSERT_EQ(data.pressure.size(), 5u);
   for (i32 z = 0; z < 5; ++z) {
     EXPECT_EQ(data.pressure[static_cast<usize>(z)],
@@ -40,19 +40,19 @@ TEST(ExtractColumnTest, PressureAndTransmissibilityColumns) {
 
 TEST(ExtractColumnTest, ElevationIncludesTopography) {
   const physics::FlowProblem problem = make_problem(5, 5, 3);
-  const PeColumnData data = extract_column(problem, 2, 2);
+  const PeColumnData data = ColumnExtractor(problem)(2, 2);
   for (i32 z = 0; z < 3; ++z) {
     EXPECT_FLOAT_EQ(data.elevation[static_cast<usize>(z)],
                     static_cast<f32>(problem.mesh().elevation(2, 2, z)));
   }
   // Centre column sits on the dome crest: higher than a corner column.
-  const PeColumnData corner = extract_column(problem, 0, 0);
+  const PeColumnData corner = ColumnExtractor(problem)(0, 0);
   EXPECT_GT(data.elevation[0], corner.elevation[0]);
 }
 
 TEST(ExtractColumnTest, NeighborElevationColumnsMatchNeighbors) {
   const physics::FlowProblem problem = make_problem(4, 4, 3);
-  const PeColumnData data = extract_column(problem, 1, 1);
+  const PeColumnData data = ColumnExtractor(problem)(1, 1);
   for (const wse::Color c : kCardinalColors) {
     const mesh::Face face = cardinal_face(c);
     const Coord3 off = mesh::face_offset(face);
@@ -66,10 +66,38 @@ TEST(ExtractColumnTest, NeighborElevationColumnsMatchNeighbors) {
   }
 }
 
+TEST(ExtractColumnTest, RowAtATimeExtractorMatchesDirectReadsInAnyOrder) {
+  const physics::FlowProblem problem = make_problem(5, 4, 7);
+  const auto expect_direct = [&](const PeColumnData& data, i32 x, i32 y) {
+    for (i32 z = 0; z < 7; ++z) {
+      const usize k = static_cast<usize>(z);
+      EXPECT_EQ(wse::pack_f32(data.pressure[k]),
+                wse::pack_f32(problem.initial_pressure()(x, y, z)));
+      for (const mesh::Face f : mesh::kAllFaces) {
+        EXPECT_EQ(wse::pack_f32(data.trans[static_cast<usize>(f)][k]),
+                  wse::pack_f32(problem.transmissibility().at(x, y, z, f)))
+            << "PE(" << x << ',' << y << ") z " << z;
+      }
+    }
+  };
+  ColumnExtractor raster(problem);
+  for (i32 y = 0; y < 4; ++y) {
+    for (i32 x = 0; x < 5; ++x) {
+      expect_direct(raster(x, y), x, y);
+    }
+  }
+  // Out of raster order every row change rereads the row.
+  ColumnExtractor scattered(problem);
+  for (const Coord2 pe : {Coord2{4, 3}, Coord2{0, 0}, Coord2{2, 3},
+                          Coord2{1, 1}, Coord2{3, 0}}) {
+    expect_direct(scattered(pe.x, pe.y), pe.x, pe.y);
+  }
+}
+
 TEST(ExtractColumnTest, OutOfRangeRejected) {
   const physics::FlowProblem problem = make_problem(3, 3, 2);
-  EXPECT_THROW((void)extract_column(problem, 3, 0), ContractViolation);
-  EXPECT_THROW((void)extract_column(problem, 0, -1), ContractViolation);
+  EXPECT_THROW((void)ColumnExtractor(problem)(3, 0), ContractViolation);
+  EXPECT_THROW((void)ColumnExtractor(problem)(0, -1), ContractViolation);
 }
 
 // --- result bookkeeping ----------------------------------------------------------

@@ -426,11 +426,12 @@ TEST(LintMemoryTest, LintReportReadsTheLoadedPrograms) {
   {
     // The factory and everything it captures die before the report.
     const physics::FluidProperties fluid = deep.fluid();
+    core::ColumnExtractor columns(deep);
     (void)harness->load<core::TpfaPeProgram>(
         [&](Coord2 coord, Coord2 fabric_size) {
           return std::make_unique<core::TpfaPeProgram>(
               coord, fabric_size, deep.extents(), kernel, fluid,
-              core::extract_column(deep, coord.x, coord.y),
+              columns(coord.x, coord.y),
               bindings.compiled);
         });
   }

@@ -51,11 +51,12 @@ struct TpfaRig {
     const Extents3 ext = problem.extents();
     const auto compiled = std::make_shared<const spec::CompiledSpec>(
         spec::compile(core::make_tpfa_spec(kernel)));
+    core::ColumnExtractor columns(problem);
     grid = harness.load<core::TpfaPeProgram>([&](Coord2 coord,
                                                  Coord2 fabric_size) {
       return std::make_unique<core::TpfaPeProgram>(
           coord, fabric_size, ext, kernel, fluid,
-          core::extract_column(problem, coord.x, coord.y), compiled);
+          columns(coord.x, coord.y), compiled);
     });
   }
 

@@ -3,6 +3,9 @@
 // and the timing model.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -407,13 +410,209 @@ TEST(DsdTest, VectorOpsComputeAndCount) {
   EXPECT_EQ(counters.mem_stores, 5u * 3u);
 }
 
-TEST(DsdTest, WindowAndStride) {
+TEST(DsdTest, WindowIsAContiguousSubview) {
   std::vector<f32> data{0.0f, 1.0f, 2.0f, 3.0f, 4.0f, 5.0f};
   const Dsd whole = Dsd::of(data);
   const Dsd mid = whole.window(2, 3);
+  EXPECT_EQ(mid.base, data.data() + 2);
   EXPECT_EQ(mid.length, 3);
   EXPECT_EQ(mid.at(0), 2.0f);
   EXPECT_EQ(mid.at(2), 4.0f);
+}
+
+// --- DSD semantics, bit for bit -------------------------------------------
+//
+// Every DSD op must give exactly what a sequential element loop gives —
+// dest[i] = f(a[i], b[i], c[i]) for i = 0, 1, ... — at every length
+// (around the host's vector width and its remainders), for exact
+// in-place aliases, and for partial overlaps in both directions, where
+// later elements read values the same op already wrote.
+
+/// Runs `body` inside the start task of a one-PE fabric.
+void run_on_pe(const std::function<void(PeApi&)>& body) {
+  Fabric fabric(1, 1);
+  fabric.load([&](Coord2 coord, Coord2) {
+    auto prog = std::make_unique<ScriptProgram>();
+    prog->coord = coord;
+    prog->start = [&](PeApi& api) {
+      body(api);
+      api.signal_done();
+    };
+    return prog;
+  });
+  ASSERT_TRUE(fabric.run().ok());
+}
+
+constexpr f32 kDsdScalar = -1.75f;
+constexpr i32 kDsdLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 246};
+
+/// One DSD op over up to three sources, and its element function.
+struct DsdOpCase {
+  const char* name;
+  void (*run)(PeApi&, Dsd dest, Dsd a, Dsd b, Dsd c);
+  f32 (*element)(f32 a, f32 b, f32 c);
+};
+
+const DsdOpCase kDsdOps[] = {
+    {"fmuls", [](PeApi& api, Dsd d, Dsd a, Dsd b, Dsd) { api.fmuls(d, a, b); },
+     [](f32 a, f32 b, f32) { return a * b; }},
+    {"fmuls scalar",
+     [](PeApi& api, Dsd d, Dsd a, Dsd, Dsd) { api.fmuls(d, a, kDsdScalar); },
+     [](f32 a, f32, f32) { return a * kDsdScalar; }},
+    {"fadds", [](PeApi& api, Dsd d, Dsd a, Dsd b, Dsd) { api.fadds(d, a, b); },
+     [](f32 a, f32 b, f32) { return a + b; }},
+    {"fsubs", [](PeApi& api, Dsd d, Dsd a, Dsd b, Dsd) { api.fsubs(d, a, b); },
+     [](f32 a, f32 b, f32) { return a - b; }},
+    {"fsubs scalar",
+     [](PeApi& api, Dsd d, Dsd a, Dsd, Dsd) { api.fsubs(d, a, kDsdScalar); },
+     [](f32 a, f32, f32) { return a - kDsdScalar; }},
+    {"fnegs", [](PeApi& api, Dsd d, Dsd a, Dsd, Dsd) { api.fnegs(d, a); },
+     [](f32 a, f32, f32) { return -a; }},
+    {"fmacs",
+     [](PeApi& api, Dsd d, Dsd a, Dsd b, Dsd c) { api.fmacs(d, a, b, c); },
+     [](f32 a, f32 b, f32 c) { return a * b + c; }},
+    {"fmacs scalar",
+     [](PeApi& api, Dsd d, Dsd a, Dsd, Dsd c) {
+       api.fmacs(d, a, kDsdScalar, c);
+     },
+     [](f32 a, f32, f32 c) { return a * kDsdScalar + c; }},
+    {"selects",
+     [](PeApi& api, Dsd d, Dsd a, Dsd b, Dsd c) { api.selects(d, a, b, c); },
+     [](f32 a, f32 b, f32 c) { return a > 0.0f ? b : c; }},
+    {"zeros", [](PeApi& api, Dsd d, Dsd, Dsd, Dsd) { api.zeros(d); },
+     [](f32, f32, f32) { return 0.0f; }},
+};
+
+/// Deterministic operands: mixed signs and magnitudes, signed zeros.
+std::vector<f32> dsd_operands(usize count) {
+  std::vector<f32> values(count);
+  u32 state = 12345u;
+  for (usize i = 0; i < count; ++i) {
+    state = state * 1664525u + 1013904223u;
+    values[i] = static_cast<f32>(static_cast<i32>(state >> 8) - (1 << 23)) /
+                static_cast<f32>(1 << 21);
+  }
+  for (usize i = 0; i < count; i += 11) {
+    values[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+  }
+  return values;
+}
+
+/// The sequential element loop over the same (possibly overlapping)
+/// memory. The element function is called through a pointer, so this
+/// loop runs one element at a time.
+void dsd_reference(const DsdOpCase& op, f32* dest, const f32* a,
+                   const f32* b, const f32* c, i32 length) {
+  for (i32 i = 0; i < length; ++i) {
+    dest[i] = op.element(a[i], b[i], c[i]);
+  }
+}
+
+void expect_same_bits(const std::vector<f32>& got,
+                      const std::vector<f32>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (usize i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(pack_f32(got[i]), pack_f32(want[i]))
+        << what << ": element " << i << " is " << got[i] << ", want "
+        << want[i];
+  }
+}
+
+/// Runs `op` on the PE and the reference loop on an identical copy of
+/// `memory`, with operands at the given element offsets, and compares
+/// every word of the memory.
+void check_dsd_op(PeApi& api, const DsdOpCase& op, std::vector<f32> memory,
+                  i32 length, usize dest, usize a, usize b, usize c,
+                  const std::string& what) {
+  std::vector<f32> want = memory;
+  const auto view = [&](std::vector<f32>& m, usize offset) {
+    return Dsd{m.data() + offset, length};
+  };
+  op.run(api, view(memory, dest), view(memory, a), view(memory, b),
+         view(memory, c));
+  dsd_reference(op, want.data() + dest, want.data() + a, want.data() + b,
+                want.data() + c, length);
+  expect_same_bits(memory, want, std::string(op.name) + ", " + what +
+                                     ", length " + std::to_string(length));
+}
+
+TEST(DsdTest, EveryOpMatchesTheSequentialLoopBitForBit) {
+  run_on_pe([](PeApi& api) {
+    for (const i32 length : kDsdLengths) {
+      const usize n = static_cast<usize>(length);
+      // Four disjoint operand slots with a gap, and room for overlaps.
+      const usize slot = n + 8;
+      const std::vector<f32> memory = dsd_operands(5 * slot);
+      for (const DsdOpCase& op : kDsdOps) {
+        check_dsd_op(api, op, memory, length, 0, slot, 2 * slot, 3 * slot,
+                     "disjoint");
+        // Exact in-place aliases: dest is the same view as one source.
+        check_dsd_op(api, op, memory, length, slot, slot, 2 * slot,
+                     3 * slot, "dest == a");
+        check_dsd_op(api, op, memory, length, 2 * slot, slot, 2 * slot,
+                     3 * slot, "dest == b");
+        check_dsd_op(api, op, memory, length, 3 * slot, slot, 2 * slot,
+                     3 * slot, "dest == c");
+        // Partial overlaps with every source, dest ahead and behind.
+        for (usize shift = 1; shift <= 5; ++shift) {
+          const usize base = 2 * slot;
+          const std::string ahead = "dest ahead by " + std::to_string(shift);
+          const std::string behind =
+              "dest behind by " + std::to_string(shift);
+          check_dsd_op(api, op, memory, length, base + shift, base, 0,
+                       4 * slot, ahead + " of a");
+          check_dsd_op(api, op, memory, length, base - shift, base, 0,
+                       4 * slot, behind + " of a");
+          check_dsd_op(api, op, memory, length, base + shift, 0, base,
+                       4 * slot, ahead + " of b");
+          check_dsd_op(api, op, memory, length, base - shift, 0, base,
+                       4 * slot, behind + " of b");
+          check_dsd_op(api, op, memory, length, base + shift, 0, 4 * slot,
+                       base, ahead + " of c");
+          check_dsd_op(api, op, memory, length, base - shift, 0, 4 * slot,
+                       base, behind + " of c");
+        }
+      }
+    }
+  });
+}
+
+TEST(DsdTest, FmovsMatchesTheSequentialLoopBitForBit) {
+  run_on_pe([](PeApi& api) {
+    for (const i32 length : kDsdLengths) {
+      const std::vector<f32> values = dsd_operands(static_cast<usize>(length));
+      std::vector<u32> wavelets;
+      for (const f32 v : values) {
+        wavelets.push_back(pack_f32(v));
+      }
+      std::vector<f32> out(values.size(), 99.0f);
+      api.fmovs(Dsd::of(out), FabricDsd::of(wavelets));
+      expect_same_bits(out, values, "fmovs, length " + std::to_string(length));
+    }
+  });
+}
+
+TEST(DsdTest, SelectsPicksTheFirstSourceOnlyForPositivePredicates) {
+  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
+  const f32 denormal = std::numeric_limits<f32>::denorm_min();
+  const f32 inf = std::numeric_limits<f32>::infinity();
+  // Nine elements: two full 4-wide vectors and one remainder element.
+  std::vector<f32> pred{nan,  -0.0f, 0.0f, denormal, -2.5f,
+                        -nan, -denormal, inf, -inf};
+  const std::vector<bool> picks_a{false, false, false, true, false,
+                                  false, false, true,  false};
+  std::vector<f32> a(pred.size()), b(pred.size()), out(pred.size());
+  for (usize i = 0; i < pred.size(); ++i) {
+    a[i] = static_cast<f32>(i) + 1.0f;
+    b[i] = -static_cast<f32>(i) - 100.0f;
+  }
+  run_on_pe([&](PeApi& api) {
+    api.selects(Dsd::of(out), Dsd::of(pred), Dsd::of(a), Dsd::of(b));
+  });
+  for (usize i = 0; i < pred.size(); ++i) {
+    EXPECT_EQ(pack_f32(out[i]), pack_f32(picks_a[i] ? a[i] : b[i]))
+        << "predicate " << pred[i] << " at element " << i;
+  }
 }
 
 TEST(TimingTest, VectorOpsAdvanceClock) {

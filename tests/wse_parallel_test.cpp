@@ -245,10 +245,11 @@ TEST(ParallelFabricTest, TraceSequenceIsIdenticalAcrossThreadCounts) {
     kernel.iterations = 2;
     const auto compiled = std::make_shared<const spec::CompiledSpec>(
         spec::compile(core::make_tpfa_spec(kernel)));
+    core::ColumnExtractor columns(problem);
     fabric.load([&](Coord2 coord, Coord2 size) {
       return std::make_unique<core::TpfaPeProgram>(
           coord, size, problem.extents(), kernel, problem.fluid(),
-          core::extract_column(problem, coord.x, coord.y), compiled);
+          columns(coord.x, coord.y), compiled);
     });
     const wse::RunReport report = fabric.run();
     EXPECT_TRUE(report.ok());

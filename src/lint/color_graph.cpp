@@ -60,6 +60,50 @@ Declarations::Declarations(const wse::Fabric& fabric)
   reduction_begin_.push_back(static_cast<u32>(reductions_.size()));
 }
 
+ColorGraph::Decoded ColorGraph::decode(const wse::ColorConfig& config) {
+  Decoded d;
+  d.flags = kConfigured;
+  const usize positions = config.position_count();
+  for (usize in = 0; in < kLinks; ++in) {
+    const wse::Dir input = static_cast<wse::Dir>(in);
+    usize accepting = 0;
+    u32 links = 0;
+    for (usize p = 0; p < positions; ++p) {
+      const u32 word = config.word(p, input);
+      if ((word & wse::kRouteExistsBit) == 0) {
+        continue;
+      }
+      ++accepting;
+      for (usize i = 0; i < wse::route_output_count(word); ++i) {
+        const wse::Dir out = wse::route_output(word, i);
+        if (out == wse::Dir::Ramp) {
+          d.flags |= 1u << (kRampShift + in);
+          continue;
+        }
+        links = append_link(links, out);
+      }
+    }
+    if (accepting > 0) {
+      d.flags |= 1u << (kAcceptShift + in);
+      if (positions >= 2 && accepting < positions) {
+        d.flags |= 1u << (kParkShift + in);
+      }
+    }
+    d.links[in] = links;
+  }
+  return d;
+}
+
+u32 ColorGraph::append_link(u32 links, wse::Dir out) noexcept {
+  const u32 mask = 1u << (kMaskShift + static_cast<u32>(out));
+  if ((links & mask) != 0) {
+    return links;  // already linked
+  }
+  const u32 count = links & 0x7u;
+  return ((links & ~0x7u) | (count + 1) | mask) |
+         (static_cast<u32>(out) << (3 + 2 * count));
+}
+
 void ColorGraph::build(const wse::Fabric& fabric, wse::Color color) {
   color_ = color;
   width_ = fabric.width();
@@ -67,51 +111,38 @@ void ColorGraph::build(const wse::Fabric& fabric, wse::Color color) {
   any_parkable_ = false;
   flags_.assign(static_cast<usize>(fabric.pe_count()), 0);
   links_.assign(flags_.size() * kLinks, 0);
+  // A layout stamps a few configurations across the whole fabric, so
+  // each distinct one is decoded once, on first use, and PEs copy it.
+  const wse::RouteConfigTable& table = fabric.route_configs();
+  decoded_.assign(table.size(), Decoded{});
+  constexpr u32 kParkMask = ((1u << kLinks) - 1) << kParkShift;
   for (i32 y = 0; y < height_; ++y) {
     for (i32 x = 0; x < width_; ++x) {
-      const wse::ColorConfig& config = fabric.router(x, y).config(color);
-      if (!config.configured()) {
+      const u32 id = fabric.router(x, y).config_id(color);
+      if (id == wse::RouteConfigTable::kUnconfigured) {
         continue;
       }
-      const usize pe = pe_index(Coord2{x, y});
-      const std::vector<wse::SwitchPosition>& positions = config.positions();
-      u32 flags = kConfigured;
-      for (usize in = 0; in < kLinks; ++in) {
-        const wse::Dir input = static_cast<wse::Dir>(in);
-        usize accepting = 0;
-        u32 links = 0;
-        for (const wse::SwitchPosition& pos : positions) {
-          const wse::RouteRule* rule = pos.find(input);
-          if (rule == nullptr) {
-            continue;
-          }
-          ++accepting;
-          for (const wse::Dir out : rule->outputs) {
-            if (out == wse::Dir::Ramp) {
-              flags |= 1u << (kRampShift + in);
-              continue;
-            }
-            const Coord2 off = wse::dir_offset(out);
-            const u32 mask = 1u << (kMaskShift + static_cast<u32>(out));
-            if (!on_fabric(Coord2{x + off.x, y + off.y}) ||
-                (links & mask) != 0) {
-              continue;  // absorbed at the wafer edge, or already linked
-            }
-            const u32 count = links & 0x7u;
-            links = ((links & ~0x7u) | (count + 1) | mask) |
-                    (static_cast<u32>(out) << (3 + 2 * count));
-          }
-        }
-        if (accepting > 0) {
-          flags |= 1u << (kAcceptShift + in);
-          if (positions.size() >= 2 && accepting < positions.size()) {
-            flags |= 1u << (kParkShift + in);
-            any_parkable_ = true;
-          }
-        }
-        links_[node(pe, input)] = static_cast<u16>(links);
+      Decoded& d = decoded_[id];
+      if (d.flags == 0) {
+        d = decode(table[id]);
       }
-      flags_[pe] = static_cast<u16>(flags);
+      const usize pe = pe_index(Coord2{x, y});
+      flags_[pe] = static_cast<u16>(d.flags);
+      any_parkable_ = any_parkable_ || (d.flags & kParkMask) != 0;
+      for (usize in = 0; in < kLinks; ++in) {
+        // Off-fabric outputs are absorbed at the wafer edge: keep the
+        // on-fabric ones, in their first-occurrence order.
+        u32 links = 0;
+        for (usize i = 0; i < (d.links[in] & 0x7u); ++i) {
+          const wse::Dir out =
+              static_cast<wse::Dir>((d.links[in] >> (3 + 2 * i)) & 0x3u);
+          const Coord2 off = wse::dir_offset(out);
+          if (on_fabric(Coord2{x + off.x, y + off.y})) {
+            links = append_link(links, out);
+          }
+        }
+        links_[node(pe, static_cast<wse::Dir>(in))] = static_cast<u16>(links);
+      }
     }
   }
 }

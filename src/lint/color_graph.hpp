@@ -85,8 +85,8 @@ class Declarations {
   ColorSet active_{};
 };
 
-/// One color's routing table, flattened from the routers' switch
-/// positions. Per PE it holds a configured bit and, per input link,
+/// One color's routing table, flattened from the routers' packed route
+/// words (wse/route.hpp). Per PE it holds a configured bit and, per input link,
 /// accept, parkable and delivers-to-Ramp bits; per node it holds the
 /// union over all switch positions of the rules' outputs that lead to an
 /// on-fabric neighbour, in first-occurrence order. Ramp outputs become
@@ -169,6 +169,17 @@ class ColorGraph {
   }
 
  private:
+  /// One distinct configuration's contribution, before the wafer edge
+  /// trims it: the PE flags, and per input link the union of its
+  /// fabric outputs in the links_ encoding.
+  struct Decoded {
+    u32 flags = 0;  ///< 0 until decoded (a decoded one has kConfigured)
+    std::array<u32, kLinks> links{};
+  };
+  [[nodiscard]] static Decoded decode(const wse::ColorConfig& config);
+  /// Appends fabric output `out` to a links_ entry unless already there.
+  [[nodiscard]] static u32 append_link(u32 links, wse::Dir out) noexcept;
+
   static constexpr u16 kConfigured = 1u;
   static constexpr u32 kAcceptShift = 1;
   static constexpr u32 kParkShift = 6;
@@ -189,6 +200,8 @@ class ColorGraph {
   /// Per node: bits 0-2 the link count, then two bits per link in
   /// first-occurrence order, then a four-bit mask of the links.
   std::vector<u16> links_;
+  /// Per configuration id of the fabric's RouteConfigTable (scratch).
+  std::vector<Decoded> decoded_;
 };
 
 /// Reusable scratch for union-graph walks. Marks are epoch stamps, so

@@ -48,6 +48,16 @@ class Parser {
     ++pos_;
   }
 
+  /// Enters one array or object level; the recursion is bounded so that
+  /// hostile input (a long run of '[') throws instead of overflowing the
+  /// stack.
+  void enter() {
+    if (++depth_ > kJsonMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kJsonMaxDepth) +
+           " levels");
+    }
+  }
+
   bool consume_literal(std::string_view lit) {
     if (text_.substr(pos_, lit.size()) != lit) {
       return false;
@@ -61,9 +71,12 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        enter();
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::String;
@@ -237,6 +250,7 @@ class Parser {
 
   std::string_view text_;
   usize pos_ = 0;
+  usize depth_ = 0;
 };
 
 }  // namespace

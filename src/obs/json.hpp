@@ -52,8 +52,14 @@ class JsonValue {
   }
 };
 
+/// Deepest array/object nesting parse_json accepts. The parser recurses
+/// once per level, so the bound keeps untrusted input (uploaded BENCH
+/// sidecars) from exhausting the stack.
+inline constexpr usize kJsonMaxDepth = 256;
+
 /// Parses one JSON document (throws std::runtime_error with a position
-/// diagnostic on malformed input or trailing garbage).
+/// diagnostic on malformed input, trailing garbage, or nesting deeper
+/// than kJsonMaxDepth).
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 }  // namespace fvf::obs

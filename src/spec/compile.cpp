@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "wse/memory.hpp"
 
 namespace fvf::spec {
 
@@ -99,6 +100,12 @@ void validate(const StencilSpec& spec) {
     }
   }
 
+  if (spec.fields.size() > wse::PeMemory::kMaxRecords) {
+    compile_error(spec, "declares " + std::to_string(spec.fields.size()) +
+                            " fields; a PE records at most " +
+                            std::to_string(wse::PeMemory::kMaxRecords) +
+                            " tagged memory reservations");
+  }
   const FieldSpec* code = nullptr;
   const FieldSpec* cardinal_recv = nullptr;
   const FieldSpec* diagonal_recv = nullptr;

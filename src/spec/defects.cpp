@@ -122,10 +122,8 @@ class FixtureProgram final : public wse::PeProgram {
   return run(fabric, options);
 }
 
-[[nodiscard]] ColorConfig single(SwitchPosition pos) {
-  std::vector<SwitchPosition> positions;
-  positions.push_back(std::move(pos));
-  return ColorConfig(std::move(positions));
+[[nodiscard]] ColorConfig single(const SwitchPosition& pos) {
+  return ColorConfig({pos});
 }
 
 /// unclaimed-color: a router configures kColor, but the claim oracle says

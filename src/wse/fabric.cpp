@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <iterator>
 #include <limits>
 #include <sstream>
@@ -487,7 +486,7 @@ Fabric::Fabric(i32 width, i32 height, FabricTimings timings,
       fault_model_(exec.fault) {
   FVF_REQUIRE(width > 0 && height > 0);
   pes_.reserve(static_cast<usize>(pe_count()));
-  routers_.resize(static_cast<usize>(pe_count()));
+  routers_.resize(static_cast<usize>(pe_count()), Router(route_configs_));
   pending_.resize(static_cast<usize>(pe_count()));
   if (fault_model_.enabled()) {
     // Per-link next-free times backing the FIFO-preserving stall model.
@@ -709,14 +708,12 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
     event.stalled = false;
   }
 
-  // Resolve the route from the flat mirror (one load) instead of chasing
-  // the Router's config/position/rule vectors; see build_route_table.
-  const u32 packed =
-      route_table_[at * Color::kMaxColors + event.color.id()]
-                  [static_cast<usize>(event.from)];
+  // One packed word: the color's interned configuration, row of its
+  // current switch position, column of the input link.
+  Router& rt = routers_[at];
+  const u32 packed = rt.route_word(event.color, event.from);
   if (packed == 0) {
-    Router& rt = routers_[at];
-    if (!rt.config(event.color).configured()) {
+    if (rt.config_id(event.color) == RouteConfigTable::kUnconfigured) {
       std::ostringstream os;
       os << "wavelet on unconfigured color "
          << static_cast<int>(event.color.id()) << " entering PE (" << event.x
@@ -773,7 +770,6 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
   }
 
   // Route first (using the pre-advance configuration)...
-  Router& rt = routers_[at];
   const bool faults = fault_model_.enabled();
   // Exactly-once drop accounting for corrupted blocks: the token travels
   // with one surviving forwarded copy (fan-out duplicates are not
@@ -781,10 +777,10 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
   // check or absorbed at the wafer boundary.
   bool token = event.fault_token;
   // Decode the packed rule: output links in configuration order.
-  const usize out_count = (packed >> 1) & 0x7u;
+  const usize out_count = route_output_count(packed);
   Dir outputs[kLinkCount];
   for (usize i = 0; i < out_count; ++i) {
-    outputs[i] = static_cast<Dir>((packed >> (4 + 3 * i)) & 0x7u);
+    outputs[i] = route_output(packed, i);
   }
   // The last output that reads payload bytes (Ramp delivery or an
   // in-bounds fabric link): the handle is *moved* there instead of
@@ -918,11 +914,10 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
   // ...then advance the switch if this was a control wavelet, releasing
   // any wavelets the old position was holding back.
   if (event.control) {
-    // Advancing a single-position switch is a no-op, so the Router and
-    // the mirror only need touching when the color actually alternates.
+    // Advancing a single-position switch is a no-op, so the Router only
+    // needs touching when the color actually alternates.
     if (packed & kRouteMultiPositionBit) {
       rt.advance_switch(event.color);
-      rebuild_route_entry(at, event.color);
     }
     release_pending(tile, event.x, event.y, event.color, event.time);
   }
@@ -969,10 +964,8 @@ void Fabric::run_tile(detail::Tile& tile, f64 window_end, u64 event_cap) {
       // scale, so the engine is otherwise bound by these fetch stalls.
       const Event& next = tile.queue.top();
       const usize next_at = static_cast<usize>(index(next.x, next.y));
-      __builtin_prefetch(
-          &route_table_[next_at * Color::kMaxColors + next.color.id()]);
       __builtin_prefetch(&pes_[next_at]);
-      __builtin_prefetch(&routers_[next_at]);
+      routers_[next_at].prefetch(next.color);
     }
     tile.cursor = detail::Tile::RecordKey{event.time, event.src, event.seq, 0};
     ++tile.events_processed;
@@ -981,30 +974,6 @@ void Fabric::run_tile(detail::Tile& tile, f64 window_end, u64 event_cap) {
       // Ownership not transferred to a forward or a pending buffer: the
       // payload's last reader was this event.
       tile.arena->free(event.payload);
-    }
-  }
-}
-
-void Fabric::rebuild_route_entry(usize at, Color color) {
-  std::array<u32, kLinkCount>& entry =
-      route_table_[at * Color::kMaxColors + color.id()];
-  const ColorConfig& config = routers_[at].config(color);
-  if (!config.configured()) {
-    entry.fill(0);
-    return;
-  }
-  // ColorConfig packed every position at configure time (see route.hpp),
-  // so refreshing the mirror — including on the control-wavelet hot path
-  // — is one kLinkCount-word copy.
-  std::memcpy(entry.data(), config.packed_row(), sizeof(entry));
-}
-
-void Fabric::build_route_table() {
-  const usize n = static_cast<usize>(width_) * static_cast<usize>(height_);
-  route_table_.assign(n * Color::kMaxColors, {});
-  for (usize at = 0; at < n; ++at) {
-    for (u8 c = 0; c < Color::kMaxColors; ++c) {
-      rebuild_route_entry(at, Color{c});
     }
   }
 }
@@ -1029,7 +998,6 @@ i32 Fabric::tile_count() const noexcept {
 
 RunReport Fabric::run(u64 max_events) {
   const i32 tile_count = this->tile_count();
-  build_route_table();
 
   tile_of_row_.assign(static_cast<usize>(height_), 0);
   if (arenas_.empty()) {
@@ -1057,8 +1025,12 @@ RunReport Fabric::run(u64 max_events) {
   // Program-start events, one per PE, in deterministic PE order.
   for (i32 y = 0; y < height_; ++y) {
     for (i32 x = 0; x < width_; ++x) {
-      FVF_REQUIRE_MSG(pe(x, y).program_ != nullptr,
+      Pe& target = pe(x, y);
+      FVF_REQUIRE_MSG(target.program_ != nullptr,
                       "Fabric::run called before load()");
+      // on_start declares the program's static buffers, so every run
+      // starts from an empty arena instead of counting them again.
+      target.memory_ = PeMemory(memory_budget_);
       Event start;
       start.time = 0.0;
       start.x = x;
@@ -1358,7 +1330,7 @@ RunReport Fabric::finish_run(std::vector<detail::Tile>& tiles,
                << static_cast<int>(e.color.id()) << " from "
                << dir_name(e.from) << (e.control ? " ctrl" : " data")
                << " pos "
-               << router(x, y).config(e.color).current_position() << "]";
+               << router(x, y).position(e.color) << "]";
             if (++shown >= 8) {
               break;
             }

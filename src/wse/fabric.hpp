@@ -336,6 +336,9 @@ class Fabric {
          ExecutionOptions exec = {});
 
   ~Fabric();
+  // Routers point into the fabric's configuration table.
+  Fabric(const Fabric&) = delete;
+  Fabric& operator=(const Fabric&) = delete;
 
   [[nodiscard]] i32 width() const noexcept { return width_; }
   [[nodiscard]] i32 height() const noexcept { return height_; }
@@ -349,6 +352,11 @@ class Fabric {
   [[nodiscard]] const Pe& pe(i32 x, i32 y) const;
   [[nodiscard]] Router& router(i32 x, i32 y);
   [[nodiscard]] const Router& router(i32 x, i32 y) const;
+  /// The distinct color configurations installed on this fabric's
+  /// routers (Router::config_id indexes it).
+  [[nodiscard]] const RouteConfigTable& route_configs() const noexcept {
+    return route_configs_;
+  }
 
   /// Instantiates a program on every PE and installs router configs.
   void load(const ProgramFactory& factory);
@@ -447,19 +455,6 @@ class Fabric {
     return static_cast<i64>(y) * width_ + x;
   }
 
-  /// Flat mirror of every router's *current* switch position, one packed
-  /// u32 per (location, color, input link): bit 0 = rule exists, bits 1-3
-  /// = output count, then 3 bits per output Dir in configuration order.
-  /// Route resolution through the Router object chases four dependent
-  /// cache lines (configs array -> positions vector -> rules vector ->
-  /// outputs vector) per event, which dominates the hot path once the
-  /// fabric outgrows the LLC; the mirror answers in a single contiguous
-  /// load. Rebuilt from the routers at run() entry and re-resolved for
-  /// one (location, color) whenever a control wavelet advances that
-  /// switch — the Router stays authoritative.
-  void rebuild_route_entry(usize at, Color color);
-  void build_route_table();
-
   /// Checkpoint spacing actually in effect (resolves the auto default).
   [[nodiscard]] f64 checkpoint_cycles() const noexcept;
   /// Row-strip tile count for this fabric's execution options (stable
@@ -471,13 +466,19 @@ class Fabric {
   FabricTimings timings_;
   ExecutionOptions exec_;
   usize memory_budget_;
+  /// Every distinct color configuration the routers installed, stored
+  /// once; each router keeps a 32-bit id into it per color plus the
+  /// switch position. process_event resolves a route as one packed word,
+  /// table[id] row `position` input `from`, and a control wavelet's
+  /// switch advance is a position increment. The table holds the few
+  /// patterns a layout stamps across the fabric (a handful per kernel),
+  /// so it stays cache-resident however large the fabric grows. Declared
+  /// before routers_, which point into it.
+  RouteConfigTable route_configs_;
   /// Contiguous PE state (SoA-adjacent arrays below index the same way):
   /// sized once in the constructor, never reallocated.
   std::vector<Pe> pes_;
   std::vector<Router> routers_;
-  /// See build_route_table: kLinkCount packed rules per (location, color),
-  /// laid out [at * kMaxColors + color][input].
-  std::vector<std::array<u32, kLinkCount>> route_table_;
   /// Backpressure queues: wavelets whose color's current switch position
   /// does not accept their input link wait here until a control wavelet
   /// advances the switch (models the router's input buffering).

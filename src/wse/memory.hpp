@@ -8,80 +8,65 @@
 /// memory-reuse ablation can report exactly what was saved.
 #pragma once
 
-#include <cstddef>
+#include <array>
 #include <span>
-#include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
 
 namespace fvf::wse {
 
-/// One tagged allocation record.
+/// One tagged reservation. The tag is borrowed, not copied: it names a
+/// field of the program's compiled spec, or is a literal.
 struct AllocationRecord {
-  std::string tag;
+  std::string_view tag;
   usize bytes = 0;
 };
 
-/// Bump allocator over a fixed-size private memory. Allocations are
+/// Byte budget over a fixed-size private memory. Reservations are
 /// permanent for the lifetime of a program (matching the static buffer
 /// allocation style of CSL kernels); the *reuse* optimisation is expressed
-/// by allocating one buffer and using it for several purposes.
+/// by reserving one buffer and using it for several purposes. The arena
+/// only accounts: the data itself lives in the programs' columns.
 class PeMemory {
  public:
   /// WSE-2 PEs have 48 KiB of local memory.
   static constexpr usize kDefaultBudget = 48 * 1024;
+  /// Tagged reservations one PE can record. The records live inline, so
+  /// a PE's arena never allocates; spec::compile rejects a kernel that
+  /// declares more fields than this.
+  static constexpr usize kMaxRecords = 12;
 
   explicit PeMemory(usize budget_bytes = kDefaultBudget)
       : budget_(budget_bytes) {}
 
-  /// Allocates `count` f32 words, 4-byte aligned, tagged for reporting.
-  [[nodiscard]] std::span<f32> alloc_f32(usize count, std::string tag) {
-    return std::span<f32>(
-        static_cast<f32*>(alloc_raw(count * sizeof(f32), std::move(tag))),
-        count);
-  }
-
-  [[nodiscard]] std::span<u32> alloc_u32(usize count, std::string tag) {
-    return std::span<u32>(
-        static_cast<u32*>(alloc_raw(count * sizeof(u32), std::move(tag))),
-        count);
-  }
-
-  /// Reserves bytes without handing out a pointer (models the footprint
-  /// of code/runtime structures).
-  void reserve(usize bytes, std::string tag) {
+  /// Reserves bytes for a static buffer or for code/runtime structures.
+  /// `tag` must outlive this arena.
+  void reserve(usize bytes, std::string_view tag) {
     FVF_REQUIRE_MSG(used_ + bytes <= budget_,
                     "PE memory budget exceeded reserving '"
                         << tag << "': " << used_ + bytes << " > " << budget_);
+    FVF_REQUIRE_MSG(record_count_ < kMaxRecords,
+                    "more than " << kMaxRecords
+                                 << " tagged PE memory reservations ('" << tag
+                                 << "')");
     used_ += bytes;
-    records_.push_back(AllocationRecord{std::move(tag), bytes});
+    records_[record_count_++] = AllocationRecord{tag, bytes};
   }
 
   [[nodiscard]] usize budget() const noexcept { return budget_; }
   [[nodiscard]] usize used() const noexcept { return used_; }
   [[nodiscard]] usize available() const noexcept { return budget_ - used_; }
-  [[nodiscard]] const std::vector<AllocationRecord>& records() const noexcept {
-    return records_;
+  [[nodiscard]] std::span<const AllocationRecord> records() const noexcept {
+    return {records_.data(), record_count_};
   }
 
  private:
-  [[nodiscard]] void* alloc_raw(usize bytes, std::string tag) {
-    FVF_REQUIRE_MSG(used_ + bytes <= budget_,
-                    "PE memory budget exceeded allocating '"
-                        << tag << "': " << used_ + bytes << " > " << budget_);
-    used_ += bytes;
-    records_.push_back(AllocationRecord{std::move(tag), bytes});
-    // Backing storage: one chunk per allocation keeps pointers stable.
-    chunks_.emplace_back(bytes, std::byte{0});
-    return chunks_.back().data();
-  }
-
   usize budget_;
   usize used_ = 0;
-  std::vector<AllocationRecord> records_;
-  std::vector<std::vector<std::byte>> chunks_;
+  usize record_count_ = 0;
+  std::array<AllocationRecord, kMaxRecords> records_{};
 };
 
 }  // namespace fvf::wse

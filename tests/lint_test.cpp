@@ -680,7 +680,7 @@ wse::SwitchPosition random_position(CorpusRng& rng, wse::Dir bias,
         rule.outputs.push_back(out);
       }
     }
-    pos.rules.push_back(std::move(rule));
+    pos.add(rule);
   }
   return pos;
 }
@@ -691,7 +691,7 @@ wse::ColorConfig random_config(CorpusRng& rng, wse::Dir bias, u32 noise) {
   for (u32 i = 0; i < count; ++i) {
     positions.push_back(random_position(rng, bias, noise));
   }
-  return wse::ColorConfig(std::move(positions));
+  return wse::ColorConfig(positions);
 }
 
 struct CorpusCase {

@@ -534,5 +534,42 @@ TEST(JsonParserTest, ParsesNestedDocumentsAndRejectsGarbage) {
   EXPECT_THROW(obs::parse_json(""), std::runtime_error);
 }
 
+TEST(JsonParserTest, NestingIsBoundedNotAStackOverflow) {
+  const auto nested = [](usize depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  // At the limit the document parses; mixed objects count the same.
+  const obs::JsonValue doc = obs::parse_json(nested(obs::kJsonMaxDepth));
+  usize depth = 1;
+  for (const obs::JsonValue* v = &doc; !v->array.empty(); v = &v->array[0]) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, obs::kJsonMaxDepth);
+  EXPECT_NO_THROW((void)obs::parse_json(
+      "{\"a\": " + nested(obs::kJsonMaxDepth - 1) + "}"));
+
+  // One level past it, and a million past it, throw the usual parse
+  // error at the offending bracket, naming the limit.
+  const auto message = [](const std::string& text) {
+    try {
+      (void)obs::parse_json(text);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  const std::string limit = std::to_string(obs::kJsonMaxDepth);
+  EXPECT_EQ(message(nested(obs::kJsonMaxDepth + 1)),
+            "JSON parse error at offset " + limit +
+                ": nesting deeper than " + limit + " levels");
+  EXPECT_EQ(message(std::string(1'000'000, '[')),
+            "JSON parse error at offset " + limit +
+                ": nesting deeper than " + limit + " levels");
+  EXPECT_EQ(message("{\"a\": " + nested(obs::kJsonMaxDepth) + "}"),
+            "JSON parse error at offset " +
+                std::to_string(6 + obs::kJsonMaxDepth - 1) +
+                ": nesting deeper than " + limit + " levels");
+}
+
 }  // namespace
 }  // namespace fvf

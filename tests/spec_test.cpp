@@ -31,6 +31,7 @@
 #include "spec/launch.hpp"
 #include "spec/program.hpp"
 #include "tools/fvf_spec_cli.hpp"
+#include "wse/memory.hpp"
 
 namespace fvf {
 namespace {
@@ -94,6 +95,19 @@ TEST(SpecCompileTest, ErrorsNameTheSpecAndTheField) {
   dup.fields.push_back({"cardinal recv buffers", spec::FieldRole::State, 1, 0});
   const std::string what3 = compile_error(std::move(dup));
   EXPECT_NE(what3.find("'cardinal recv buffers'"), std::string::npos) << what3;
+
+  // More fields than a PE records reservations: named with the limit.
+  spec::StencilSpec wide = valid_switch_spec();
+  while (wide.fields.size() <= wse::PeMemory::kMaxRecords) {
+    wide.fields.push_back({"state " + std::to_string(wide.fields.size()),
+                           spec::FieldRole::State, 1, 0});
+  }
+  const std::string what4 = compile_error(std::move(wide));
+  EXPECT_NE(what4.find("at most " +
+                       std::to_string(wse::PeMemory::kMaxRecords) +
+                       " tagged memory reservations"),
+            std::string::npos)
+      << what4;
 }
 
 TEST(SpecCompileTest, DigestIsStructuralAndExcludesRounds) {

@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -65,48 +66,187 @@ TEST(FabricTypesTest, PackUnpackF32RoundTrip) {
 }
 
 TEST(ColorConfigTest, AdvanceWrapsAround) {
-  ColorConfig config({position(Dir::Ramp, {Dir::East}),
-                      position(Dir::West, {Dir::Ramp})});
-  EXPECT_EQ(config.current_position(), 0u);
-  config.advance();
-  EXPECT_EQ(config.current_position(), 1u);
-  config.advance();
-  EXPECT_EQ(config.current_position(), 0u);
+  RouteConfigTable table;
+  Router router(table);
+  router.configure(kC0, ColorConfig({position(Dir::Ramp, {Dir::East}),
+                                     position(Dir::West, {Dir::Ramp})}));
+  EXPECT_EQ(router.position(kC0), 0u);
+  router.advance_switch(kC0);
+  EXPECT_EQ(router.position(kC0), 1u);
+  router.advance_switch(kC0);
+  EXPECT_EQ(router.position(kC0), 0u);
 }
 
 TEST(ColorConfigTest, RouteResolvesCurrentPositionOnly) {
-  ColorConfig config({position(Dir::Ramp, {Dir::East}),
-                      position(Dir::West, {Dir::Ramp})});
-  EXPECT_NE(config.route(Dir::Ramp), nullptr);
-  EXPECT_EQ(config.route(Dir::West), nullptr);
-  config.advance();
-  EXPECT_EQ(config.route(Dir::Ramp), nullptr);
-  EXPECT_NE(config.route(Dir::West), nullptr);
+  RouteConfigTable table;
+  Router router(table);
+  router.configure(kC0, ColorConfig({position(Dir::Ramp, {Dir::East}),
+                                     position(Dir::West, {Dir::Ramp})}));
+  EXPECT_NE(router.route_word(kC0, Dir::Ramp), 0u);
+  EXPECT_EQ(router.route_word(kC0, Dir::West), 0u);
+  router.advance_switch(kC0);
+  EXPECT_EQ(router.route_word(kC0, Dir::Ramp), 0u);
+  EXPECT_NE(router.route_word(kC0, Dir::West), 0u);
+}
+
+/// Expects `make` to throw a ContractViolation whose message names
+/// `what`.
+template <typename Fn>
+void expect_violation(const Fn& make, std::string_view what) {
+  try {
+    make();
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string_view(e.what()).find(what), std::string_view::npos)
+        << e.what();
+    return;
+  }
+  ADD_FAILURE() << "no ContractViolation naming '" << what << "'";
 }
 
 TEST(ColorConfigTest, RejectsDuplicateInputs) {
-  EXPECT_THROW(ColorConfig({position({RouteRule{Dir::Ramp, {Dir::East}},
-                                      RouteRule{Dir::Ramp, {Dir::West}}})}),
-               ContractViolation);
+  expect_violation(
+      [] {
+        (void)ColorConfig({position({RouteRule{Dir::Ramp, {Dir::East}},
+                                     RouteRule{Dir::Ramp, {Dir::West}}})});
+      },
+      "duplicate input link R in switch position");
+  // Built rule by rule, the duplicate is caught the same way.
+  SwitchPosition pos;
+  pos.add(RouteRule{Dir::West, {Dir::Ramp}});
+  EXPECT_THROW(pos.add(RouteRule{Dir::West, {Dir::East}}), ContractViolation);
+}
+
+TEST(ColorConfigTest, RejectsTooManyPositions) {
+  expect_violation(
+      [] {
+        (void)ColorConfig({position(Dir::Ramp, {Dir::North}),
+                           position(Dir::Ramp, {Dir::East}),
+                           position(Dir::Ramp, {Dir::South}),
+                           position(Dir::Ramp, {Dir::West}),
+                           position(Dir::Ramp, {Dir::Ramp})});
+      },
+      "5 switch positions, more than 4");
+  expect_violation(
+      [] { (void)ColorConfig(std::span<const SwitchPosition>{}); },
+      "no switch positions");
+}
+
+TEST(ColorConfigTest, RejectsTooManyOutputs) {
+  expect_violation(
+      [] {
+        (void)position(Dir::Ramp, {Dir::North, Dir::East, Dir::South,
+                                   Dir::West, Dir::Ramp, Dir::North});
+      },
+      "fans out to more than 5 output links");
+  RouteRule rule{Dir::West, {Dir::North, Dir::East, Dir::South, Dir::West,
+                             Dir::Ramp}};
+  EXPECT_THROW(rule.outputs.push_back(Dir::Ramp), ContractViolation);
+}
+
+TEST(ColorConfigTest, PositionsDecodeThePackedWords) {
+  const ColorConfig config(
+      {position({RouteRule{Dir::West, {Dir::Ramp, Dir::East}},
+                 RouteRule{Dir::Ramp, {Dir::North}}}),
+       position(Dir::South, {})});
+  const std::vector<SwitchPosition> positions = config.positions();
+  ASSERT_EQ(positions.size(), 2u);
+  // Rules come back in Dir order, outputs in configuration order.
+  ASSERT_EQ(positions[0].rules().size(), 2u);
+  EXPECT_EQ(positions[0].rules()[0], (RouteRule{Dir::West, {Dir::Ramp,
+                                                            Dir::East}}));
+  EXPECT_EQ(positions[0].rules()[1], (RouteRule{Dir::Ramp, {Dir::North}}));
+  ASSERT_NE(positions[1].find(Dir::South), nullptr);
+  EXPECT_EQ(positions[1].find(Dir::South)->outputs.size(), 0u);
+  EXPECT_EQ(ColorConfig(positions), config);
+}
+
+TEST(ColorConfigTest, EqualConfigurationsShareOneTableEntry) {
+  Fabric fabric(3, 1);
+  fabric.load([](Coord2 coord, Coord2) {
+    auto prog = std::make_unique<ScriptProgram>();
+    prog->coord = coord;
+    prog->configure = [](Router& router, Coord2 at) {
+      router.configure(kC0, ColorConfig({position(Dir::Ramp, {Dir::East}),
+                                         position(Dir::West, {Dir::Ramp})}));
+      if (at.x == 1) {
+        router.configure(kC1, ColorConfig({position(Dir::West, {Dir::Ramp})}));
+      }
+    };
+    return prog;
+  });
+  const RouteConfigTable& table = fabric.route_configs();
+  ASSERT_EQ(table.size(), 3u);  // unconfigured + two distinct
+  const u32 shared = fabric.router(0, 0).config_id(kC0);
+  EXPECT_NE(shared, RouteConfigTable::kUnconfigured);
+  EXPECT_EQ(fabric.router(1, 0).config_id(kC0), shared);
+  EXPECT_EQ(fabric.router(2, 0).config_id(kC0), shared);
+  EXPECT_EQ(fabric.router(0, 0).config_id(kC1),
+            RouteConfigTable::kUnconfigured);
+  EXPECT_FALSE(fabric.router(0, 0).config(kC1).configured());
+  EXPECT_EQ(fabric.router(1, 0).config(kC1).position_count(), 1u);
+}
+
+TEST(ColorConfigTest, ReconfigureCountsAndResetsThePosition) {
+  RouteConfigTable table;
+  Router router(table);
+  const ColorConfig two({position(Dir::Ramp, {Dir::East}),
+                         position(Dir::West, {Dir::Ramp})});
+  router.configure(kC0, two);
+  router.advance_switch(kC0);
+  ASSERT_EQ(router.position(kC0), 1u);
+  router.configure(kC0, two);
+  EXPECT_EQ(router.configure_count(kC0), 2u);
+  EXPECT_EQ(router.position(kC0), 0u);
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(router.configure_count(kC1), 0u);
 }
 
 TEST(PeMemoryTest, BudgetEnforced) {
   PeMemory mem(1024);
-  (void)mem.alloc_f32(128, "half");  // 512 B
+  mem.reserve(512, "half");
   EXPECT_EQ(mem.used(), 512u);
   EXPECT_EQ(mem.available(), 512u);
-  EXPECT_THROW((void)mem.alloc_f32(256, "too much"), ContractViolation);
+  EXPECT_THROW(mem.reserve(1024, "too much"), ContractViolation);
   mem.reserve(512, "rest");
   EXPECT_EQ(mem.available(), 0u);
 }
 
 TEST(PeMemoryTest, RecordsTaggedAllocations) {
   PeMemory mem(4096);
-  (void)mem.alloc_f32(16, "a");
+  mem.reserve(64, "a");
   mem.reserve(100, "b");
   ASSERT_EQ(mem.records().size(), 2u);
   EXPECT_EQ(mem.records()[0].tag, "a");
   EXPECT_EQ(mem.records()[1].bytes, 100u);
+}
+
+TEST(PeMemoryTest, RecordCapacityIsAContract) {
+  PeMemory mem(4096);
+  for (usize i = 0; i < PeMemory::kMaxRecords; ++i) {
+    mem.reserve(1, "field");
+  }
+  EXPECT_THROW(mem.reserve(1, "one too many"), ContractViolation);
+  EXPECT_EQ(mem.records().size(), PeMemory::kMaxRecords);
+  EXPECT_EQ(mem.used(), PeMemory::kMaxRecords);
+}
+
+TEST(PeMemoryTest, EachRunStartsFromAnEmptyArena) {
+  // Programs declare their buffers at start, so a rerun of the loaded
+  // fabric must not count them twice.
+  Fabric fabric(1, 1);
+  fabric.load([](Coord2, Coord2) {
+    auto prog = std::make_unique<ScriptProgram>();
+    prog->start = [](PeApi& api) {
+      api.memory().reserve(100, "buffer");
+      api.signal_done();
+    };
+    return prog;
+  });
+  for (usize run = 0; run <= PeMemory::kMaxRecords; ++run) {
+    ASSERT_TRUE(fabric.run().ok());
+    EXPECT_EQ(fabric.pe(0, 0).memory().used(), 100u);
+    EXPECT_EQ(fabric.pe(0, 0).memory().records().size(), 1u);
+  }
 }
 
 // --- point-to-point data delivery ------------------------------------------
@@ -164,11 +304,11 @@ TEST(FabricTest, MulticastFanOut) {
                                                    Dir::South, Dir::West})}));
       } else {
         // Accept from whichever side faces the centre.
-        std::vector<RouteRule> rules;
+        SwitchPosition pos;
         for (const Dir d : kFabricDirs) {
-          rules.push_back(RouteRule{d, {Dir::Ramp}});
+          pos.add(RouteRule{d, {Dir::Ramp}});
         }
-        router.configure(kC0, ColorConfig({position(std::move(rules))}));
+        router.configure(kC0, ColorConfig({pos}));
       }
     };
     if (coord.x == 1 && coord.y == 1) {
@@ -300,8 +440,8 @@ TEST(FabricTest, ControlAdvancesTraversedRouters) {
   EXPECT_EQ(pe0_got[0], 20.0f);
   // Both routers advanced twice (their own control + none) -> the test's
   // protocol flips each router exactly once per control traversal.
-  EXPECT_EQ(fabric.router(0, 0).config(kC0).current_position(), 1u);
-  EXPECT_EQ(fabric.router(1, 0).config(kC0).current_position(), 1u);
+  EXPECT_EQ(fabric.router(0, 0).position(kC0), 1u);
+  EXPECT_EQ(fabric.router(1, 0).position(kC0), 1u);
 }
 
 TEST(FabricTest, BackpressureHoldsDataUntilSwitchAdvances) {
